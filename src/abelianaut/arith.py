@@ -7,6 +7,10 @@ of user-supplied moduli at desk scale.
 
 from __future__ import annotations
 
+from array import array
+from math import isqrt
+from typing import Iterator
+
 DEFAULT_TRIAL_DIVISOR_LIMIT = 10**6
 # Full factorization is certified for n <= limit**2: once every divisor up
 # to sqrt(n) <= limit has been tried, a leftover cofactor must be prime.
@@ -97,3 +101,37 @@ def primes_up_to(n: int) -> list[int]:
         for q in range(p * p, n + 1, p):
             composite[q] = 1
     return out
+
+
+def _smallest_prime_factors(n: int) -> array:
+    """For 0 <= k <= n, k's smallest prime factor, or 0 when k is 0, 1 or prime."""
+    spf = array("I", [0]) * (n + 1)
+    # Largest prime first, so each k keeps the smallest p with p*p <= k.
+    for p in reversed(primes_up_to(isqrt(n))):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    return spf
+
+
+def factorizations_up_to(n: int) -> Iterator[dict[int, int]]:
+    """``factorize(k)`` for k = 1..n in turn, read off a sieve.
+
+    Each factorization walks k -> k / spf(k) down a smallest-prime-factor
+    sieve, with no trial division.  The sieve is rebuilt at twice the size
+    whenever k outgrows it, so it holds at most about 2k machine ints, a
+    caller that stops early never pays for a sieve up to n, and it lives
+    only as long as the iterator.
+    """
+    spf = array("I")
+    for k in range(1, n + 1):
+        if k >= len(spf):
+            spf = _smallest_prime_factors(min(n, 2 * k))
+        factors: dict[int, int] = {}
+        m = k
+        while m > 1:
+            p = spf[m] or m
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = e
+        yield factors

@@ -6,7 +6,9 @@ lines, or CSV via --format; every number printed is exact, either a
 decimal big integer or a reduced a/b.
 
 Exit codes: 0 success; 1 usage or parse error; 2 computational bound
-exceeded; 3 formula/oracle mismatch (verify only).
+exceeded; 3 formula/oracle mismatch (verify only).  A reader that closes
+the output early (``abelianaut enumerate ... | head``) ends the run
+quietly with 0: every row it read was complete and exact.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -374,11 +378,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's limit on int <-> str digits while the block runs.
+
+    |Aut| of (Z2)^200 has about 12,000 digits, past the default limit of
+    4300.  Releases before 3.10.7 have neither the limit nor the setter.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@_unlimited_int_digits()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

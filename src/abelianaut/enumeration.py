@@ -9,10 +9,11 @@ therefore rely on it for witness minimality.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Iterator
 
-from .arith import DEFAULT_TRIAL_DIVISOR_LIMIT, factorize
+from .arith import DEFAULT_TRIAL_DIVISOR_LIMIT, factorize, factorizations_up_to
 from .core import GroupShape, PGroupShape
 
 
@@ -38,6 +39,17 @@ def _descending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (head, *tail)
 
 
+@cache
+def _blocks(p: int, a: int) -> tuple[PGroupShape, ...]:
+    """Every p-group of order p^a, in :func:`partitions` order, built once."""
+    return tuple(PGroupShape(p, exps) for exps in partitions(a))
+
+
+def _groups(factors: dict[int, int]) -> Iterator[GroupShape]:
+    """One group per choice of block for each prime, primes ascending."""
+    return map(GroupShape, product(*(_blocks(p, a) for p, a in factors.items())))
+
+
 def groups_of_order(
     order: int, limit: int = DEFAULT_TRIAL_DIVISOR_LIMIT
 ) -> Iterator[GroupShape]:
@@ -49,19 +61,20 @@ def groups_of_order(
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order!r}")
-    factors = factorize(order, limit)
-    primes = sorted(factors)
-    choices = [list(partitions(factors[p])) for p in primes]
-    for combo in product(*choices):
-        yield GroupShape(tuple(PGroupShape(p, exps) for p, exps in zip(primes, combo)))
+    yield from _groups(factorize(order, limit))
 
 
-def groups_up_to(
-    max_order: int, limit: int = DEFAULT_TRIAL_DIVISOR_LIMIT
-) -> Iterator[tuple[int, GroupShape]]:
-    """(order, group) for every abelian group of order 1..max_order."""
+def groups_up_to(max_order: int) -> Iterator[tuple[int, GroupShape]]:
+    """(order, group) for every abelian group of order 1..max_order.
+
+    Same stream as :func:`groups_of_order` for 1, 2, ..., max_order, but
+    the orders are factored by one smallest-prime-factor sieve
+    (:func:`~abelianaut.arith.factorizations_up_to`) instead of trial
+    division, and each primary block comes from a table built once per
+    (p, a) and kept for the life of the process.
+    """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order!r}")
-    for order in range(1, max_order + 1):
-        for shape in groups_of_order(order, limit):
+    for order, factors in enumerate(factorizations_up_to(max_order), start=1):
+        for shape in _groups(factors):
             yield order, shape

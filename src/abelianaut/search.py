@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from . import core, enumeration
@@ -93,6 +94,12 @@ def screen(target: Fraction | int) -> UnrealizableReason | None:
     return None
 
 
+@lru_cache
+def _primes_of(n: int) -> tuple[int, ...]:
+    """The distinct primes of ``n``, factored once per value."""
+    return tuple(factorize(n))
+
+
 def denominator_prune(target: Fraction | int, group_order: int) -> bool:
     """True when groups of this order can be skipped for this target.
 
@@ -101,7 +108,7 @@ def denominator_prune(target: Fraction | int, group_order: int) -> bool:
     does not divide the group order rules the whole order out.
     """
     target = Fraction(target)
-    return any(group_order % q != 0 for q in factorize(target.denominator))
+    return any(group_order % q != 0 for q in _primes_of(target.denominator))
 
 
 def realize(

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from math import prod
+from pathlib import Path
 
 import pytest
 
+import abelianaut
 from abelianaut import GroupShape, core
 from abelianaut.cli import ParseError, main, parse_group, parse_ratio_target
 
@@ -61,6 +67,25 @@ def test_parse_ratio_target():
 def test_aut_text(capsys):
     assert main(["aut", "Z2xZ3xZ9"]) == 0
     assert capsys.readouterr().out == "108\n"
+
+
+def test_aut_prints_counts_past_the_int_str_digit_limit(capsys):
+    # |Aut((Z2)^200)| = |GL(200, 2)| has 12,041 digits; Python refuses to
+    # print ints of more than 4300 by default.
+    assert main(["aut", "x".join(["Z2"] * 200)]) == 0
+    out = capsys.readouterr().out
+    expected = prod(2**200 - 2**k for k in range(200))
+    if not hasattr(sys, "set_int_max_str_digits"):
+        assert out == f"{expected}\n"
+        return
+    saved = sys.get_int_max_str_digits()
+    assert saved != 0  # main put the limit back
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{expected}\n"
+        assert len(out) == 12_042
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_ratio_text_integer_and_fraction(capsys):
@@ -201,3 +226,20 @@ def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_closed_output_pipe_exits_quietly():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(abelianaut.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    # About 100 KB of rows: more than a pipe buffers, so the writer is still
+    # running when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "abelianaut", "enumerate", "--max-order", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1\tZ1\t1\t1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert err == b""
+    assert proc.returncode == 0
