@@ -20,7 +20,6 @@ from .core import (
     PGroupClass,
     PGroupClassKind,
     PGroupShape,
-    RunLengthShape,
     ValuationParts,
     aut_order,
     aut_order_p,
@@ -29,7 +28,6 @@ from .core import (
     closed_form_ratio,
     p_valuation_of_aut,
     ratio,
-    run_length,
 )
 from .enumeration import groups_of_order, groups_up_to, partitions
 from .oracle import (
@@ -68,7 +66,6 @@ __all__ = [
     "PGroupClass",
     "PGroupClassKind",
     "PGroupShape",
-    "RunLengthShape",
     "SearchBounds",
     "SearchVerdict",
     "Unrealizable",
@@ -94,7 +91,6 @@ __all__ = [
     "ratio",
     "ratio_atlas",
     "realize",
-    "run_length",
     "screen",
     "subgroup_closure",
 ]

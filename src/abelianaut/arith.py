@@ -12,8 +12,9 @@ from math import isqrt
 from typing import Iterator
 
 DEFAULT_TRIAL_DIVISOR_LIMIT = 10**6
-# Full factorization is certified for n <= limit**2: once every divisor up
-# to sqrt(n) <= limit has been tried, a leftover cofactor must be prime.
+# Full factorization is certified for n <= DEFAULT_TRIAL_DIVISOR_LIMIT**2:
+# once every divisor up to sqrt(n) has been tried, a leftover cofactor
+# must be prime.
 
 
 class InvalidModulus(ValueError):
@@ -54,15 +55,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISOR_LIMIT) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Factor ``n`` by trial division; keys are primes in increasing order.
 
-    Supports ``n`` up to ``limit**2`` (default 10**12); anything larger
-    raises :class:`FactorizationOverflow` rather than running forever or
-    returning an uncertified factorization.
+    Supports ``n`` up to ``DEFAULT_TRIAL_DIVISOR_LIMIT**2`` (10**12);
+    anything larger raises :class:`FactorizationOverflow` rather than
+    running forever or returning an uncertified factorization.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidModulus(f"expected a positive integer, got {n!r}")
+    limit = DEFAULT_TRIAL_DIVISOR_LIMIT
     if n > limit * limit:
         raise FactorizationOverflow(
             f"{n} exceeds the factorization bound {limit}**2 = {limit * limit}"
@@ -83,9 +85,9 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISOR_LIMIT) -> dict[int, int
     return factors
 
 
-def is_squarefree(n: int, limit: int = DEFAULT_TRIAL_DIVISOR_LIMIT) -> bool:
+def is_squarefree(n: int) -> bool:
     """True when no prime divides ``n`` twice."""
-    return all(e == 1 for e in factorize(n, limit).values())
+    return all(e == 1 for e in factorize(n).values())
 
 
 def primes_up_to(n: int) -> list[int]:

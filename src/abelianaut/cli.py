@@ -6,9 +6,11 @@ lines, or CSV via --format; every number printed is exact, either a
 decimal big integer or a reduced a/b.
 
 Exit codes: 0 success; 1 usage or parse error; 2 computational bound
-exceeded; 3 formula/oracle mismatch (verify only).  A reader that closes
-the output early (``abelianaut enumerate ... | head``) ends the run
-quietly with 0: every row it read was complete and exact.
+exceeded, which includes a verify that checks no shape at all (every
+shape over the budget, or no p-group of order <= N); 3 formula/oracle
+mismatch (verify only).  A reader that closes the output early
+(``abelianaut enumerate ... | head``) ends the run quietly with 0: every
+row it read was complete and exact.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import core, enumeration, oracle, search
-from .arith import FactorizationOverflow, InvalidModulus, primes_up_to
+from .arith import FactorizationOverflow, InvalidModulus
 from .core import GroupShape, PGroupShape
 from .oracle import BudgetExceeded, OracleBudget
 from .search import SearchBounds, Unrealizable, Witness
@@ -64,7 +66,7 @@ def parse_group(text: str) -> GroupShape:
         while i < n and text[i].isspace():
             i += 1
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
         if start == i:
             raise ParseError("expected digits after the factor letter", i)
@@ -254,27 +256,18 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
-    """All abelian p-group shapes of order <= max_order, deterministically."""
-    for p in primes_up_to(max_order):
-        a = 1
-        while p**a <= max_order:
-            for exps in enumeration.partitions(a):
-                yield PGroupShape(p, exps)
-            a += 1
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     budget = OracleBudget(max_candidate_tuples=args.budget)
     checked = 0
     skipped = 0
     mismatches: list[tuple[PGroupShape, int, int]] = []
-    for shape in _pgroup_shapes_up_to(args.max_order):
-        if shape.order**shape.rank > budget.max_candidate_tuples:
+    for shape in enumeration.pgroup_shapes_up_to(args.max_order):
+        try:
+            counted = oracle.count_automorphisms(shape, budget)
+        except BudgetExceeded:
             skipped += 1
             continue
         expected = core.aut_order_p(shape)
-        counted = oracle.count_automorphisms(shape, budget)
         checked += 1
         if expected != counted:
             mismatches.append((shape, expected, counted))
@@ -285,7 +278,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for shape, expected, counted in mismatches:
         print(f"MISMATCH {shape}: formula={expected} oracle={counted}",
               file=sys.stderr)
-    return EXIT_MISMATCH if mismatches else EXIT_OK
+    if mismatches:
+        return EXIT_MISMATCH
+    if not checked:
+        reason = (f"all {skipped} p-group shapes of order <= {args.max_order} "
+                  f"exceed the budget of {args.budget} candidate tuples"
+                  if skipped else f"no p-group has order <= {args.max_order}")
+        print(f"error: nothing checked: {reason}", file=sys.stderr)
+        return EXIT_BOUND
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):

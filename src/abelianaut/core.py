@@ -27,7 +27,7 @@ from itertools import groupby
 from math import prod
 from typing import Iterable, Mapping
 
-from .arith import DEFAULT_TRIAL_DIVISOR_LIMIT, InvalidModulus, factorize, is_prime
+from .arith import InvalidModulus, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -68,40 +68,6 @@ class PGroupShape:
 
     def __str__(self) -> str:
         return " x ".join(f"Z{self.p ** e}" for e in self.exponents)
-
-
-@dataclass(frozen=True)
-class RunLengthShape:
-    """The same partition with distinct exponents and multiplicities.
-
-    ``levels`` is a tuple of (exponent, multiplicity) pairs with strictly
-    increasing exponents; expanding each exponent by its multiplicity
-    recovers the originating :class:`PGroupShape` exponent list.
-    """
-
-    p: int
-    levels: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        levels = tuple((int(e), int(k)) for e, k in self.levels)
-        if not levels:
-            raise ValueError("levels must be nonempty")
-        if any(e < 1 or k < 1 for e, k in levels):
-            raise ValueError(f"levels need positive exponents and multiplicities: {levels!r}")
-        if any(a >= b for (a, _), (b, _) in zip(levels, levels[1:])):
-            raise ValueError(f"exponents must be strictly increasing: {levels!r}")
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def rank(self) -> int:
-        return sum(k for _, k in self.levels)
-
-    @property
-    def order_exponent(self) -> int:
-        return sum(e * k for e, k in self.levels)
-
-    def expand(self) -> tuple[int, ...]:
-        return tuple(e for e, k in self.levels for _ in range(k))
 
 
 @dataclass(frozen=True)
@@ -216,9 +182,7 @@ class _DivisibleGuaranteeOnlyType:
 DivisibleGuaranteeOnly = _DivisibleGuaranteeOnlyType()
 
 
-def canonicalize(
-    moduli: Iterable[int], limit: int = DEFAULT_TRIAL_DIVISOR_LIMIT
-) -> GroupShape:
+def canonicalize(moduli: Iterable[int]) -> GroupShape:
     """Canonical shape of Z_{m_1} x ... x Z_{m_t}.
 
     Composite moduli split into prime-power cyclic factors (Chinese
@@ -234,7 +198,7 @@ def canonicalize(
     for m in moduli:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise InvalidModulus(f"moduli must be integers >= 1, got {m!r}")
-        for p, e in factorize(m, limit).items():
+        for p, e in factorize(m).items():
             per_prime.setdefault(p, []).append(e)
     return GroupShape(
         tuple(PGroupShape(p, tuple(per_prime[p])) for p in sorted(per_prime))
@@ -288,24 +252,18 @@ def ratio(group: GroupShape) -> Fraction:
     return Fraction(aut_order(group), group.order)
 
 
-def run_length(shape: PGroupShape) -> RunLengthShape:
-    """Distinct exponents with multiplicities, exponents increasing."""
-    levels = tuple((e, len(list(g))) for e, g in groupby(shape.exponents))
-    return RunLengthShape(shape.p, levels)
-
-
 def p_valuation_of_aut(shape: PGroupShape) -> ValuationParts:
     """Largest power of p dividing aut_order_p(shape), in closed form.
 
-    Computed from the run-length form: with levels (e_j, k_j), j = 1..m,
-    and suffix rank sums K_j = k_j + ... + k_m,
+    With the distinct exponents e_1 < ... < e_m, k_j factors of exponent
+    e_j, and suffix rank sums K_j = k_j + ... + k_m,
 
         d = sum over j < m of e_j * k_j * K_{j+1}
         c = sum over all j of (e_j - 1) * k_j * K_j
 
     and the total multiplicity is n(n-1)/2 + d + c.
     """
-    levels = run_length(shape).levels
+    levels = [(e, len(list(g))) for e, g in groupby(shape.exponents)]
     m = len(levels)
     suffix = [0] * (m + 1)
     for j in range(m - 1, -1, -1):

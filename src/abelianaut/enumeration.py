@@ -13,7 +13,7 @@ from functools import cache
 from itertools import product
 from typing import Iterator
 
-from .arith import DEFAULT_TRIAL_DIVISOR_LIMIT, factorize, factorizations_up_to
+from .arith import factorize, factorizations_up_to, primes_up_to
 from .core import GroupShape, PGroupShape
 
 
@@ -45,14 +45,25 @@ def _blocks(p: int, a: int) -> tuple[PGroupShape, ...]:
     return tuple(PGroupShape(p, exps) for exps in partitions(a))
 
 
+def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
+    """Every abelian p-group of order <= ``max_order``, each exactly once.
+
+    Primes ascending, then the exponent a of |G| = p^a ascending, then
+    :func:`partitions` order within one p^a.
+    """
+    for p in primes_up_to(max_order):
+        a = 1
+        while p**a <= max_order:
+            yield from _blocks(p, a)
+            a += 1
+
+
 def _groups(factors: dict[int, int]) -> Iterator[GroupShape]:
     """One group per choice of block for each prime, primes ascending."""
     return map(GroupShape, product(*(_blocks(p, a) for p, a in factors.items())))
 
 
-def groups_of_order(
-    order: int, limit: int = DEFAULT_TRIAL_DIVISOR_LIMIT
-) -> Iterator[GroupShape]:
+def groups_of_order(order: int) -> Iterator[GroupShape]:
     """Every abelian group of order exactly ``order``, one per iso class.
 
     Deterministic: primes ascending, one partition stream per prime, the
@@ -61,7 +72,7 @@ def groups_of_order(
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order!r}")
-    yield from _groups(factorize(order, limit))
+    yield from _groups(factorize(order))
 
 
 def groups_up_to(max_order: int) -> Iterator[tuple[int, GroupShape]]:

@@ -8,6 +8,12 @@ images generate the whole group, because on a finite group a surjective
 endomorphism is already bijective.  So: enumerate the image tuples, keep
 the ones whose subgroup closure is everything, and count.
 
+The tuples are walked slot by slot, depth first, so tuples that share a
+prefix share that prefix's closure.  One routine, :func:`_extend`, grows
+a subgroup H by one generator g as the union of the cosets H + j*g for
+j below k = min{k >= 1 : k*g in H}.  At the last slot nothing is built:
+a candidate g completes the tuple exactly when |H| * k = |G|.
+
 Nothing here shares logic with the closed-form path in :mod:`.core` --
 no formula, no matrix bookkeeping -- which is what makes agreement
 between the two paths meaningful evidence.  The candidate space is
@@ -18,15 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mod
 from typing import Iterable, Sequence
 
 from .core import PGroupShape
 
 # One residue per cyclic factor, coordinate i in [0, p^e_i).
 ElementVector = tuple[int, ...]
-
-# Precompute the full addition table only while it stays tiny.
-_TABLE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -79,35 +83,45 @@ def element_order(vector: Sequence[int], shape: PGroupShape) -> int:
     return p**needed
 
 
-def _closure_size(
-    generators: Sequence[ElementVector], moduli: Sequence[int], cap: int
-) -> int:
-    """Size of the subgroup generated, by closure under addition.
+def _add(u: ElementVector, v: ElementVector, moduli: Sequence[int]) -> ElementVector:
+    return tuple(map(mod, map(add, u, v), moduli))
 
-    Quits early once the count reaches ``cap`` (the full group order):
-    the closure can never exceed it.
+
+def _index(subgroup: set[ElementVector], g: ElementVector, moduli: Sequence[int]) -> int:
+    """min{k >= 1 : k*g in subgroup}; k = order of g at the latest."""
+    k, m = 1, g
+    while m not in subgroup:
+        k += 1
+        m = _add(m, g, moduli)
+    return k
+
+
+def _extend(
+    subgroup: set[ElementVector], g: ElementVector, moduli: Sequence[int]
+) -> set[ElementVector]:
+    """The subgroup generated by ``subgroup`` and ``g``.
+
+    With k = min{k >= 1 : k*g in H}, the cosets H + j*g for 0 <= j < k are
+    pairwise disjoint and their union is closed under adding g, so it is
+    <H, g>, of order |H| * k.
     """
-    zero = (0,) * len(moduli)
-    seen = {zero}
-    queue = [zero]
-    head = 0
-    while head < len(queue) and len(seen) < cap:
-        x = queue[head]
-        head += 1
-        for g in generators:
-            y = tuple((a + b) % m for a, b, m in zip(x, g, moduli))
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen)
+    out = set(subgroup)
+    m = g
+    while m not in subgroup:
+        out.update([_add(h, m, moduli) for h in subgroup])
+        m = _add(m, g, moduli)
+    return out
 
 
 def subgroup_closure(
     generators: Iterable[Sequence[int]], shape: PGroupShape
 ) -> int:
     """Order of the subgroup the given vectors generate ([] gives 1)."""
-    gens = [_check_vector(v, shape) for v in generators]
-    return _closure_size(gens, _moduli(shape), shape.order)
+    moduli = _moduli(shape)
+    closure = {(0,) * shape.rank}
+    for v in generators:
+        closure = _extend(closure, _check_vector(v, shape), moduli)
+    return len(closure)
 
 
 def count_automorphisms(
@@ -128,70 +142,22 @@ def count_automorphisms(
             f"{budget.max_candidate_tuples} candidate tuples"
         )
     moduli = _moduli(shape)
-    vectors = list(product(*(range(m) for m in moduli)))
+    vectors = list(product(*map(range, moduli)))
     # Slot i admits exactly the elements killed by p^e_i.
-    kill = [shape.p**e for e in shape.exponents]
-    if size <= _TABLE_LIMIT:
-        return _count_indexed(vectors, moduli, kill, shape, size)
-    return _count_generic(vectors, moduli, kill, shape, size)
+    slots = [[v for v in vectors if m % element_order(v, shape) == 0] for m in moduli]
+    return _count({(0,) * n}, slots, moduli, size)
 
 
-def _count_indexed(
-    vectors: list[ElementVector],
+def _count(
+    prefix: set[ElementVector],
+    slots: list[list[ElementVector]],
     moduli: list[int],
-    kill: list[int],
-    shape: PGroupShape,
     size: int,
 ) -> int:
-    """Fast path: elements as indices plus a precomputed addition table."""
-    index = {v: i for i, v in enumerate(vectors)}
-    add = [
-        [index[tuple((a + b) % m for a, b, m in zip(u, v, moduli))] for v in vectors]
-        for u in vectors
-    ]
-    slots = [
-        [i for i, v in enumerate(vectors) if limit % element_order(v, shape) == 0]
-        for limit in kill
-    ]
-    visited = [0] * size
-    queue = [0] * size
-    stamp = 0
-    count = 0
-    for gens in product(*slots):
-        stamp += 1
-        visited[0] = stamp
-        queue[0] = 0
-        head = 0
-        tail = 1
-        while head < tail:
-            row = add[queue[head]]
-            head += 1
-            for g in gens:
-                y = row[g]
-                if visited[y] != stamp:
-                    visited[y] = stamp
-                    queue[tail] = y
-                    tail += 1
-            if tail == size:
-                break
-        if tail == size:
-            count += 1
-    return count
-
-
-def _count_generic(
-    vectors: list[ElementVector],
-    moduli: list[int],
-    kill: list[int],
-    shape: PGroupShape,
-    size: int,
-) -> int:
-    """Set-based fallback for groups too large for an addition table."""
-    slots = [
-        [v for v in vectors if limit % element_order(v, shape) == 0] for limit in kill
-    ]
-    count = 0
-    for gens in product(*slots):
-        if _closure_size(gens, moduli, size) == size:
-            count += 1
-    return count
+    """Fillings of ``slots`` that, with the closure ``prefix`` of the images
+    chosen so far, generate all ``size`` elements."""
+    first, rest = slots[0], slots[1:]
+    if not rest:
+        h = len(prefix)
+        return sum(h * _index(prefix, g, moduli) == size for g in first)
+    return sum(_count(_extend(prefix, g, moduli), rest, moduli, size) for g in first)

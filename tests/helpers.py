@@ -2,15 +2,16 @@
 
 These deliberately avoid the library's own code paths: the partition
 counter uses the pentagonal-number recurrence instead of generating
-partitions, and the multiplicity counter is plain repeated division.
+partitions, the multiplicity counter is plain repeated division, and the
+subgroup closure is a breadth-first search under addition instead of the
+oracle's coset extension.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from abelianaut import PGroupShape, partitions
-from abelianaut.arith import primes_up_to
+from abelianaut import PGroupShape
 
 
 @lru_cache(maxsize=None)
@@ -42,14 +43,17 @@ def multiplicity(n: int, p: int) -> int:
     return count
 
 
-def pgroup_shapes(max_group_order: int, tuple_budget: int | None = None):
-    """All p-group shapes with order <= max_group_order, optionally also
-    requiring order**rank <= tuple_budget."""
-    for p in primes_up_to(max_group_order):
-        a = 1
-        while p**a <= max_group_order:
-            for exps in partitions(a):
-                shape = PGroupShape(p, exps)
-                if tuple_budget is None or shape.order ** shape.rank <= tuple_budget:
-                    yield shape
-            a += 1
+def bfs_closure(generators, shape: PGroupShape) -> int:
+    """Order of the subgroup generated, by closure under addition from zero."""
+    moduli = [shape.p**e for e in shape.exponents]
+    gens = [tuple(g) for g in generators]
+    zero = (0,) * len(moduli)
+    seen = {zero}
+    queue = [zero]
+    for x in queue:
+        for g in gens:
+            y = tuple((a + b) % m for a, b, m in zip(x, g, moduli))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen)

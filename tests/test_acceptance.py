@@ -34,7 +34,8 @@ from abelianaut import (
     realize,
 )
 from abelianaut.arith import factorize, is_squarefree, primes_up_to
-from helpers import multiplicity, partition_count, pgroup_shapes
+from abelianaut.enumeration import pgroup_shapes_up_to
+from helpers import multiplicity, partition_count
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -52,7 +53,7 @@ def ratios_up_to_5000():
 def test_criterion_1_formula_equals_oracle():
     """Formula vs brute force on every shape with |G| <= 64, |G|^n <= 10^6."""
     budget = OracleBudget(10**6)
-    shapes = list(pgroup_shapes(64, tuple_budget=10**6))
+    shapes = [s for s in pgroup_shapes_up_to(64) if s.order**s.rank <= 10**6]
 
     required = {(2, (1, 2)), (2, (2, 3)), (2, (1, 1, 2)), (3, (1, 2))}
     covered = {(s.p, s.exponents) for s in shapes}

@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abelianaut
 from abelianaut import GroupShape, core
@@ -187,6 +191,22 @@ def test_verify_clean(capsys):
     assert "skipped=2" in out  # the two order-32 shapes with rank >= 4
 
 
+def test_verify_counts_up_to_order_300_within_budget_300(capsys):
+    # Checks every cyclic p-group up to Z293 and the five rank-2 shapes
+    # whose tuple spaces fit the budget.
+    assert main(["verify", "--max-order", "300", "--budget", "300"]) == 0
+    assert capsys.readouterr().out == "checked=84 skipped=73 mismatches=0\n"
+
+
+@pytest.mark.parametrize("argv", [["--budget", "1"], ["--max-order", "1"]])
+def test_verify_that_checks_nothing_exits_2(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("checked=0 ")
+    assert captured.err.startswith("error: nothing checked")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_verify_json(capsys):
     assert main(["verify", "--max-order", "8", "--format", "json"]) == 0
     row = json.loads(capsys.readouterr().out)
@@ -205,6 +225,42 @@ def test_verify_reports_and_exits_3_on_mismatch(capsys, monkeypatch):
 def test_parse_error_exit_code(capsys):
     assert main(["aut", "Q5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["Z\u00b2", "Z1\u00b2", "Z\u00b9\u00b2"])
+def test_superscript_digits_are_a_parse_error(capsys, text):
+    # str.isdigit accepts superscripts, but int() rejects them.
+    assert main(["aut", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _exit_code(argv):
+    """main's exit code, with its output discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects some texts, e.g. "-x"
+            return exc.code
+
+
+_FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+# Any text, and text over the parsers' own alphabet plus digits that int()
+# rejects (superscripts) or accepts (Arabic-Indic).
+_TEXT = st.text() | st.text(alphabet="zZcCxX*/ -0123456789\u00b2\u0663")
+
+
+@_FUZZ
+@given(text=_TEXT, command=st.sampled_from(["aut", "ratio"]))
+def test_fuzz_group_parser_through_main(text, command):
+    assert _exit_code([command, text]) in (0, 1, 2)
+
+
+@_FUZZ
+@given(text=_TEXT)
+def test_fuzz_ratio_parser_through_main(text):
+    assert _exit_code(["search", text, "--max-order", "50"]) in (0, 1, 2)
 
 
 def test_invalid_modulus_exit_code(capsys):

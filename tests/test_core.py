@@ -11,7 +11,6 @@ from abelianaut import (
     PGroupClass,
     PGroupClassKind,
     PGroupShape,
-    RunLengthShape,
     aut_order,
     aut_order_p,
     canonicalize,
@@ -20,9 +19,9 @@ from abelianaut import (
     groups_up_to,
     p_valuation_of_aut,
     ratio,
-    run_length,
 )
-from helpers import multiplicity, pgroup_shapes
+from abelianaut.enumeration import pgroup_shapes_up_to
+from helpers import multiplicity
 
 
 # ---------------------------------------------------------------- shapes
@@ -69,15 +68,6 @@ def test_group_shape_str_and_component():
     assert str(g) == "Z2 x Z3 x Z9"
     assert g.component(3) == PGroupShape(3, (1, 2))
     assert g.component(7) is None
-
-
-def test_run_length_shape_validation():
-    with pytest.raises(ValueError):
-        RunLengthShape(2, ((2, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        RunLengthShape(2, ((1, 0),))
-    with pytest.raises(ValueError):
-        RunLengthShape(2, ())
 
 
 # ---------------------------------------------------------- canonicalize
@@ -159,22 +149,6 @@ def test_ratio_frozen_values():
     assert ratio(GroupShape()) == Fraction(1)
 
 
-# ------------------------------------------------------------ run length
-
-def test_run_length_examples():
-    assert run_length(PGroupShape(2, (1, 1, 3))).levels == ((1, 2), (3, 1))
-    assert run_length(PGroupShape(3, (2,))).levels == ((2, 1),)
-    assert run_length(PGroupShape(2, (1, 2, 3))).levels == ((1, 1), (2, 1), (3, 1))
-
-
-def test_run_length_expansion_roundtrip():
-    for shape in pgroup_shapes(128):
-        rl = run_length(shape)
-        assert rl.expand() == shape.exponents
-        assert rl.rank == shape.rank
-        assert rl.order_exponent == shape.order_exponent
-
-
 # ------------------------------------------------------------- valuation
 
 def test_valuation_examples():
@@ -192,7 +166,7 @@ def test_valuation_cyclic():
 
 
 def test_valuation_matches_repeated_division():
-    for shape in pgroup_shapes(256):
+    for shape in pgroup_shapes_up_to(256):
         v = p_valuation_of_aut(shape)
         assert v.total == multiplicity(aut_order_p(shape), shape.p), shape
 
@@ -212,7 +186,7 @@ def test_classify_patterns():
 
 
 def test_classify_exactly_one_tag_per_shape():
-    for shape in pgroup_shapes(512):
+    for shape in pgroup_shapes_up_to(512):
         cls = classify(shape)  # constructor enforces kind/parameter pairing
         assert isinstance(cls, PGroupClass)
 

@@ -10,7 +10,8 @@ from abelianaut import (
     groups_up_to,
     partitions,
 )
-from abelianaut.arith import factorize
+from abelianaut.arith import factorize, primes_up_to
+from abelianaut.enumeration import pgroup_shapes_up_to
 from helpers import partition_count
 
 
@@ -101,3 +102,20 @@ def test_stream_deterministic():
     first = list(groups_up_to(120))
     second = list(groups_up_to(120))
     assert first == second
+
+
+# ------------------------------------------------------- p-group shapes
+
+def test_pgroup_shapes_up_to_counts_match_partition_function():
+    for n in (64, 300):
+        expected = sum(partition_count(a) for p in primes_up_to(n)
+                       for a in range(1, n.bit_length()) if p**a <= n)
+        assert len(list(pgroup_shapes_up_to(n))) == expected, n
+
+
+def test_pgroup_shapes_up_to_order_and_bound():
+    shapes = list(pgroup_shapes_up_to(9))
+    assert [(s.p, s.exponents) for s in shapes] == [
+        (2, (1,)), (2, (2,)), (2, (1, 1)), (2, (3,)), (2, (1, 2)), (2, (1, 1, 1)),
+        (3, (1,)), (3, (2,)), (3, (1, 1)), (5, (1,)), (7, (1,))]
+    assert list(pgroup_shapes_up_to(1)) == []

@@ -11,6 +11,7 @@ from abelianaut import (
     element_order,
     subgroup_closure,
 )
+from helpers import bfs_closure
 
 Z2xZ4 = PGroupShape(2, (1, 2))
 
@@ -71,6 +72,17 @@ def test_subgroup_closure_lagrange():
             assert shape.order % size == 0, (shape, gens, size)
 
 
+def test_subgroup_closure_equals_breadth_first_closure():
+    rng = random.Random(4104)
+    shapes = [Z2xZ4, PGroupShape(2, (1, 1, 1, 1)), PGroupShape(2, (2, 3)),
+              PGroupShape(3, (1, 1, 2)), PGroupShape(5, (1, 2)), PGroupShape(7, (2,))]
+    for shape in shapes:
+        vectors = _all_vectors(shape)
+        for _ in range(40):
+            gens = [rng.choice(vectors) for _ in range(rng.randint(0, 4))]
+            assert subgroup_closure(gens, shape) == bfs_closure(gens, shape), (shape, gens)
+
+
 def test_subgroup_closure_single_generator_is_its_order():
     for shape in [Z2xZ4, PGroupShape(3, (1, 2))]:
         for v in _all_vectors(shape):
@@ -93,8 +105,7 @@ def test_count_automorphisms_equals_formula_spot_checks():
         assert count_automorphisms(shape) == aut_order_p(shape), shape
 
 
-def test_count_automorphisms_generic_path():
-    # orders above the addition-table threshold take the set-based path
+def test_count_automorphisms_large_cyclic():
     assert count_automorphisms(PGroupShape(2, (9,))) == 256  # phi(512)
     assert count_automorphisms(PGroupShape(3, (6,))) == 486  # phi(729)
 
