@@ -6,7 +6,6 @@ realizability search for target ratios.  All arithmetic is exact.
 """
 
 from .arith import (
-    DEFAULT_TRIAL_DIVISOR_LIMIT,
     FactorizationOverflow,
     InvalidModulus,
     factorize,
@@ -20,7 +19,6 @@ from .core import (
     PGroupClass,
     PGroupClassKind,
     PGroupShape,
-    ValuationParts,
     aut_order,
     aut_order_p,
     canonicalize,
@@ -32,7 +30,6 @@ from .core import (
 from .enumeration import groups_of_order, groups_up_to, partitions
 from .oracle import (
     BudgetExceeded,
-    ElementVector,
     OracleBudget,
     count_automorphisms,
     element_order,
@@ -41,11 +38,9 @@ from .oracle import (
 from .search import (
     NotFoundWithinBounds,
     SearchBounds,
-    SearchVerdict,
     Unrealizable,
     UnrealizableReason,
     Witness,
-    denominator_prune,
     ratio_atlas,
     realize,
     screen,
@@ -54,10 +49,8 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TRIAL_DIVISOR_LIMIT",
     "BudgetExceeded",
     "DivisibleGuaranteeOnly",
-    "ElementVector",
     "FactorizationOverflow",
     "GroupShape",
     "InvalidModulus",
@@ -67,10 +60,8 @@ __all__ = [
     "PGroupClassKind",
     "PGroupShape",
     "SearchBounds",
-    "SearchVerdict",
     "Unrealizable",
     "UnrealizableReason",
-    "ValuationParts",
     "Witness",
     "aut_order",
     "aut_order_p",
@@ -78,7 +69,6 @@ __all__ = [
     "classify",
     "closed_form_ratio",
     "count_automorphisms",
-    "denominator_prune",
     "element_order",
     "factorize",
     "groups_of_order",

@@ -1,8 +1,9 @@
 """Integer helpers: deterministic primality, bounded factorization, sieves.
 
 Everything operates on plain Python ints, so there is no overflow anywhere;
-the only hard limit is the trial-division bound used to keep factorization
-of user-supplied moduli at desk scale.
+the hard limits are the trial-division bound used to keep factorization
+of user-supplied moduli at desk scale, and the bound below which the
+fixed-base primality test is proved exact.
 """
 
 from __future__ import annotations
@@ -22,18 +23,29 @@ class InvalidModulus(ValueError):
 
 
 class FactorizationOverflow(ValueError):
-    """An integer too large to factor within the trial-division bound."""
+    """An integer too large to factor by trial division or to test for primality."""
 
 
-# Witness set for which the strong-pseudoprime test is known to be exact
-# for every n < 3.3 * 10**24 -- far beyond any modulus accepted above.
-_STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as bases make the strong-pseudoprime test exact for
+# every n below psi_13 = 3317044064679887385961981, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_STRONG_BASES_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (strong pseudoprime test, fixed bases)."""
+    """Deterministic primality test (strong pseudoprime test, fixed bases).
+
+    Exact for every n below psi_13 = 3317044064679887385961981; from
+    psi_13 on it raises :class:`FactorizationOverflow` instead of guessing.
+    """
     if n < 2:
         return False
+    if n >= _STRONG_BASES_BOUND:
+        raise FactorizationOverflow(
+            f"{n} is not below {_STRONG_BASES_BOUND}, "
+            "the bound of the deterministic primality test"
+        )
     for p in _STRONG_BASES:
         if n % p == 0:
             return n == p

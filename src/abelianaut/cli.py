@@ -101,20 +101,18 @@ def _emit(
     columns: tuple[str, ...],
     fmt: str,
     text_of: Callable[[dict], str],
-    out=None,
 ) -> None:
-    out = out or sys.stdout
     if fmt == "json":
         for row in rows:
-            out.write(json.dumps({c: row[c] for c in columns}) + "\n")
+            sys.stdout.write(json.dumps({c: row[c] for c in columns}) + "\n")
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([row[c] for c in columns])
     else:
         for row in rows:
-            out.write(text_of(row) + "\n")
+            sys.stdout.write(text_of(row) + "\n")
 
 
 def _ratio_str(num: int, den: int) -> str:

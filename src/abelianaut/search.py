@@ -3,10 +3,14 @@
 Two cheap screens settle many targets outright: a reduced target whose
 denominator is divisible by the square of a prime is never realized by a
 finite abelian group, and neither is an integer target that is an odd
-prime.  Every other target is searched for exhaustively in enumeration
-order, so the first hit is a witness of minimal group order.  Absence of
-a witness within bounds proves nothing (the full classification is open)
-and is reported as exactly that, never as unrealizable.
+prime.  Every other target a/b (in lowest terms) is searched for
+exhaustively.  |Aut(G)|/|G| reduces to a fraction whose denominator
+divides |G|, so only groups whose order is a multiple of b can realize
+a/b; the search visits the orders b, 2b, 3b, ... in turn, and each
+order's groups in enumeration order, so the first hit is a witness of
+minimal group order.  Absence of a witness within bounds proves nothing
+(the full classification is open) and is reported as exactly that,
+never as unrealizable.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from . import core, enumeration
-from .arith import factorize, is_prime, is_squarefree
+from .arith import is_prime, is_squarefree
 from .core import GroupShape
 
 
@@ -94,32 +97,19 @@ def screen(target: Fraction | int) -> UnrealizableReason | None:
     return None
 
 
-@lru_cache
-def _primes_of(n: int) -> tuple[int, ...]:
-    """The distinct primes of ``n``, factored once per value."""
-    return tuple(factorize(n))
-
-
-def denominator_prune(target: Fraction | int, group_order: int) -> bool:
-    """True when groups of this order can be skipped for this target.
-
-    Each prime in a realized ratio's reduced denominator must come from
-    the matching primary block of the group, so a denominator prime that
-    does not divide the group order rules the whole order out.
-    """
-    target = Fraction(target)
-    return any(group_order % q != 0 for q in _primes_of(target.denominator))
-
-
 def realize(
     target: Fraction | int, bounds: SearchBounds = SearchBounds()
 ) -> SearchVerdict:
-    """Screen, then sweep groups in enumeration order for an exact hit.
+    """Screen, then sweep the multiples of the target's denominator.
 
-    The first hit is returned, so a Witness always has minimal order
-    (ties broken by enumeration order).  When the optional time budget
-    runs out the verdict is NotFoundWithinBounds over the largest fully
-    swept order.
+    A group of order n has a ratio whose reduced denominator divides n,
+    so for a target a/b only the orders b, 2b, 3b, ... up to max_order
+    are visited, each through its groups in enumeration order.  The
+    first hit is returned, so a Witness always has minimal order (ties
+    broken by enumeration order).  When the optional time budget runs
+    out before order kb is visited, the verdict is
+    NotFoundWithinBounds(kb - 1): every order below kb has been swept
+    or ruled out by divisibility.
     """
     target = _as_positive_fraction(target)
     reason = screen(target)
@@ -128,15 +118,13 @@ def realize(
     deadline = None
     if bounds.time_limit is not None:
         deadline = time.monotonic() + bounds.time_limit
-    swept = 0
-    for order in range(1, bounds.max_order + 1):
+    step = target.denominator
+    for order in range(step, bounds.max_order + 1, step):
         if deadline is not None and time.monotonic() >= deadline:
-            return NotFoundWithinBounds(max_order_searched=swept)
-        if not denominator_prune(target, order):
-            for shape in enumeration.groups_of_order(order):
-                if core.ratio(shape) == target:
-                    return Witness(group=shape, order=order)
-        swept = order
+            return NotFoundWithinBounds(max_order_searched=order - 1)
+        for shape in enumeration.groups_of_order(order):
+            if core.ratio(shape) == target:
+                return Witness(group=shape, order=order)
     return NotFoundWithinBounds(max_order_searched=bounds.max_order)
 
 

@@ -26,6 +26,15 @@ def test_is_prime_large():
     assert is_prime(10**12 + 39)  # smallest prime above 10**12
     assert not is_prime(10**12 + 37)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+    # psi_12 = 399165290221 * 798330580441: strong pseudoprime to bases 2..37
+    assert not is_prime(318665857834031151167461)
+
+
+def test_is_prime_refuses_at_the_bound_of_its_bases():
+    # psi_13 = 1287836182261 * 2575672364521: the 13 bases are exact below it
+    for n in (3317044064679887385961981, 10**30 + 57):
+        with pytest.raises(FactorizationOverflow):
+            is_prime(n)
 
 
 def test_factorize_basic():

@@ -172,6 +172,22 @@ def test_search_not_found(capsys):
     assert "no witness among groups of order <= 30" in out
 
 
+def test_search_strong_pseudoprime_is_not_called_prime(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes the strong test to the
+    # first 12 prime bases, which alone would call it an odd prime.
+    assert main(["search", "318665857834031151167461", "--max-order", "10"]) == 0
+    assert capsys.readouterr().out == (
+        "no witness among groups of order <= 10 (says nothing beyond)\n")
+
+
+def test_search_target_past_the_primality_bound_exits_2(capsys):
+    assert main(["search", "3317044064679887385961981"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_search_rejects_bad_targets(capsys):
     assert main(["search", "0"]) == 1
     assert main(["search", "-2"]) == 1

@@ -9,8 +9,6 @@ from abelianaut import (
     Unrealizable,
     UnrealizableReason,
     Witness,
-    denominator_prune,
-    groups_up_to,
     ratio,
     ratio_atlas,
     realize,
@@ -45,22 +43,6 @@ def test_screen_rejects_nonpositive():
         screen(Fraction(0))
     with pytest.raises(ValueError):
         screen(Fraction(-3, 2))
-
-
-# ------------------------------------------------------------------- prune
-
-def test_denominator_prune_examples():
-    assert denominator_prune(Fraction(4, 5), 12) is True
-    assert denominator_prune(Fraction(3, 2), 4) is False
-    assert denominator_prune(Fraction(7, 6), 6) is False
-    assert denominator_prune(Fraction(5), 7) is False  # integer target: no primes
-
-
-def test_denominator_prune_sound():
-    target = Fraction(3, 2)
-    for order, g in groups_up_to(100):
-        if denominator_prune(target, order):
-            assert ratio(g) != target, g
 
 
 # ----------------------------------------------------------------- realize
@@ -100,12 +82,17 @@ def test_realize_not_found_within_bounds():
     # 9 passes both screens (odd, composite) but has no small witness
     v = realize(Fraction(9), SearchBounds(max_order=30))
     assert v == NotFoundWithinBounds(max_order_searched=30)
+    # no multiple of the denominator 7 is within the bound: nothing to sweep
+    assert realize(Fraction(1, 7), SearchBounds(max_order=5)) == NotFoundWithinBounds(5)
 
 
 def test_realize_time_budget_maps_to_not_found():
     v = realize(Fraction(9), SearchBounds(max_order=10**4, time_limit=0.0))
     assert isinstance(v, NotFoundWithinBounds)
     assert v.max_order_searched == 0
+    # 7/6 can only be realized at orders 6, 12, ...: orders 1..5 are covered
+    v = realize(Fraction(7, 6), SearchBounds(max_order=10**4, time_limit=0.0))
+    assert v == NotFoundWithinBounds(max_order_searched=5)
 
 
 def test_search_bounds_validation():
@@ -149,3 +136,11 @@ def test_realize_atlas_consistency():
     absent = Fraction(7, 3)
     assert absent not in atlas
     assert realize(absent, bounds) == NotFoundWithinBounds(max_order_searched=60)
+
+
+def test_realize_finds_every_atlas_witness_with_a_denominator():
+    bounds = SearchBounds(max_order=1000)
+    fractions = {t: w for t, w in ratio_atlas(bounds).items() if t.denominator > 1}
+    assert len(fractions) == 1000
+    for target, witness in fractions.items():
+        assert realize(target, bounds) == witness
