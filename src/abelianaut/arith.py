@@ -103,18 +103,11 @@ def is_squarefree(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by sieve."""
+    """All primes <= n: the k >= 2 with no smallest prime factor in the sieve."""
     if n < 2:
-        return []
-    composite = bytearray(n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if composite[p]:
-            continue
-        out.append(p)
-        for q in range(p * p, n + 1, p):
-            composite[q] = 1
-    return out
+        return []  # also ends the recursion through _smallest_prime_factors
+    spf = _smallest_prime_factors(n)
+    return [k for k in range(2, n + 1) if not spf[k]]
 
 
 def _smallest_prime_factors(n: int) -> array:

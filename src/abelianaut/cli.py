@@ -96,20 +96,18 @@ def parse_ratio_target(text: str) -> Fraction:
     return value
 
 
-def _emit(
-    rows: Iterable[dict],
-    columns: tuple[str, ...],
-    fmt: str,
-    text_of: Callable[[dict], str],
-) -> None:
+def _emit(rows: Iterable[dict], fmt: str, text_of: Callable[[dict], str]) -> None:
+    """Write rows; a row's keys are its columns, in order, and CSV takes
+    its header from the first row."""
     if fmt == "json":
         for row in rows:
-            sys.stdout.write(json.dumps({c: row[c] for c in columns}) + "\n")
+            sys.stdout.write(json.dumps(row) + "\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        for i, row in enumerate(rows):
+            if i == 0:
+                writer.writerow(row)
+            writer.writerow(row.values())
     else:
         for row in rows:
             sys.stdout.write(text_of(row) + "\n")
@@ -126,8 +124,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
         "order": shape.order,
         "aut_order": core.aut_order(shape),
     }
-    _emit([row], ("group", "order", "aut_order"), args.format,
-          lambda r: str(r["aut_order"]))
+    _emit([row], args.format, lambda r: str(r["aut_order"]))
     return EXIT_OK
 
 
@@ -141,8 +138,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         "ratio_num": r.numerator,
         "ratio_den": r.denominator,
     }
-    _emit([row], ("group", "order", "aut_order", "ratio_num", "ratio_den"),
-          args.format, lambda r: _ratio_str(r["ratio_num"], r["ratio_den"]))
+    _emit([row], args.format, lambda r: _ratio_str(r["ratio_num"], r["ratio_den"]))
     return EXIT_OK
 
 
@@ -155,8 +151,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         {"group": str(shape), "p": f.p, "class": str(core.classify(f))}
         for f in shape.factors
     ]
-    _emit(rows, ("group", "p", "class"), args.format,
-          lambda r: f"p={r['p']}: {r['class']}")
+    _emit(rows, args.format, lambda r: f"p={r['p']}: {r['class']}")
     return EXIT_OK
 
 
@@ -170,7 +165,7 @@ def cmd_valuation(args: argparse.Namespace) -> int:
     v = core.p_valuation_of_aut(component)
     row = {"group": str(shape), "p": args.p,
            "n": v.n, "d": v.d, "c": v.c, "total": v.total}
-    _emit([row], ("group", "p", "n", "d", "c", "total"), args.format,
+    _emit([row], args.format,
           lambda r: f"n={r['n']} d={r['d']} c={r['c']} total={r['total']}")
     return EXIT_OK
 
@@ -188,22 +183,10 @@ def _enumerate_rows(max_order: int) -> Iterator[dict]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    _emit(
-        _enumerate_rows(args.max_order),
-        ("order", "group", "aut_order", "ratio_num", "ratio_den"),
-        args.format,
-        lambda r: (f"{r['order']}\t{r['group']}\t{r['aut_order']}\t"
-                   f"{_ratio_str(r['ratio_num'], r['ratio_den'])}"),
-    )
+    _emit(_enumerate_rows(args.max_order), args.format,
+          lambda r: (f"{r['order']}\t{r['group']}\t{r['aut_order']}\t"
+                     f"{_ratio_str(r['ratio_num'], r['ratio_den'])}"))
     return EXIT_OK
-
-
-_REASON_TEXT = {
-    search.UnrealizableReason.NON_SQUAREFREE_DENOMINATOR:
-        "the reduced denominator has a squared prime factor",
-    search.UnrealizableReason.ODD_PRIME_TARGET:
-        "no odd prime is realizable as a ratio",
-}
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -211,29 +194,24 @@ def cmd_search(args: argparse.Namespace) -> int:
     bounds = SearchBounds(max_order=args.max_order, time_limit=args.time_limit)
     verdict = search.realize(target, bounds)
     if isinstance(verdict, Witness):
-        r = core.ratio(verdict.group)
         row = {
             "verdict": "witness",
             "group": str(verdict.group),
             "order": verdict.order,
-            "ratio_num": r.numerator,
-            "ratio_den": r.denominator,
+            "ratio_num": target.numerator,
+            "ratio_den": target.denominator,
         }
-        _emit([row], ("verdict", "group", "order", "ratio_num", "ratio_den"),
-              args.format,
-              lambda r: (f"witness: {r['group']} (order {r['order']}), "
-                         f"ratio {_ratio_str(r['ratio_num'], r['ratio_den'])}"))
+        text = f"witness: {verdict.group} (order {verdict.order}), ratio {target}"
     elif isinstance(verdict, Unrealizable):
-        row = {"verdict": "unrealizable", "reason": verdict.reason.value}
-        _emit([row], ("verdict", "reason"), args.format,
-              lambda r: (f"unrealizable ({r['reason']}): "
-                         f"{_REASON_TEXT[verdict.reason]}"))
+        reason = verdict.reason
+        row = {"verdict": "unrealizable", "reason": reason.value}
+        text = f"unrealizable ({reason.value}): {reason.explanation}"
     else:
         row = {"verdict": "not-found-within-bounds",
                "max_order_searched": verdict.max_order_searched}
-        _emit([row], ("verdict", "max_order_searched"), args.format,
-              lambda r: ("no witness among groups of order <= "
-                         f"{r['max_order_searched']} (says nothing beyond)"))
+        text = ("no witness among groups of order <= "
+                f"{verdict.max_order_searched} (says nothing beyond)")
+    _emit([row], args.format, lambda _: text)
     return EXIT_OK
 
 
@@ -248,7 +226,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
         }
         for r, w in atlas.items()
     )
-    _emit(rows, ("ratio_num", "ratio_den", "order", "group"), args.format,
+    _emit(rows, args.format,
           lambda r: (f"{_ratio_str(r['ratio_num'], r['ratio_den'])}\t"
                      f"{r['order']}\t{r['group']}"))
     return EXIT_OK
@@ -270,7 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if expected != counted:
             mismatches.append((shape, expected, counted))
     row = {"checked": checked, "skipped": skipped, "mismatches": len(mismatches)}
-    _emit([row], ("checked", "skipped", "mismatches"), args.format,
+    _emit([row], args.format,
           lambda r: (f"checked={r['checked']} skipped={r['skipped']} "
                      f"mismatches={r['mismatches']}"))
     for shape, expected, counted in mismatches:
@@ -354,15 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
         "search", parents=[common],
         help="find a group with ratio exactly a/b, or prove there is none")
     p.add_argument("target", help="positive rational: 'a/b' or a bare integer")
-    p.add_argument("--max-order", type=_positive_int, default=10**4, metavar="N",
-                   help="largest group order to sweep (default: 10000)")
+    p.add_argument("--max-order", type=_positive_int, metavar="N",
+                   default=SearchBounds.max_order,
+                   help="largest group order to sweep (default: %(default)s)")
     p.add_argument("--time-limit", type=_nonnegative_float, default=None,
                    metavar="SECONDS", help="optional wall-clock budget")
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("atlas", parents=[common],
                        help="map every achieved ratio to its smallest witness")
-    p.add_argument("--max-order", type=_positive_int, default=10**4, metavar="N")
+    p.add_argument("--max-order", type=_positive_int, metavar="N",
+                   default=SearchBounds.max_order)
     p.set_defaults(handler=cmd_atlas)
 
     p = sub.add_parser(
@@ -370,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the formula against brute-force counting")
     p.add_argument("--max-order", type=_positive_int, default=64, metavar="N",
                    help="check every p-group shape of order <= N (default: 64)")
-    p.add_argument("--budget", type=_positive_int, default=10**6, metavar="B",
-                   help="max candidate tuples per shape (default: 1000000)")
+    p.add_argument("--budget", type=_positive_int, metavar="B",
+                   default=OracleBudget.max_candidate_tuples,
+                   help="max candidate tuples per shape (default: %(default)s)")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -409,10 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidModulus as exc:
+    except (ParseError, InvalidModulus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FactorizationOverflow, BudgetExceeded) as exc:

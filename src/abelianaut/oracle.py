@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from operator import add, mod
 from typing import Iterable, Sequence
 
@@ -142,9 +143,10 @@ def count_automorphisms(
             f"{budget.max_candidate_tuples} candidate tuples"
         )
     moduli = _moduli(shape)
-    vectors = list(product(*map(range, moduli)))
-    # Slot i admits exactly the elements killed by p^e_i.
-    slots = [[v for v in vectors if m % element_order(v, shape) == 0] for m in moduli]
+    # Slot i admits exactly the elements killed by m_i = p^e_i: those whose
+    # j-th coordinate is a multiple of m_j / gcd(m_j, m_i).
+    slots = [list(product(*(range(0, m, m // gcd(m, mi)) for m in moduli)))
+             for mi in moduli]
     return _count({(0,) * n}, slots, moduli, size)
 
 

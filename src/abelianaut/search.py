@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from . import core, enumeration
 from .arith import is_prime, is_squarefree
@@ -45,8 +44,18 @@ class SearchBounds:
 
 
 class UnrealizableReason(Enum):
-    NON_SQUAREFREE_DENOMINATOR = "non-squarefree-denominator"
-    ODD_PRIME_TARGET = "odd-prime-target"
+    """A proved screen: its value names it, its explanation says what it proved."""
+
+    NON_SQUAREFREE_DENOMINATOR = (
+        "non-squarefree-denominator",
+        "the reduced denominator has a squared prime factor")
+    ODD_PRIME_TARGET = ("odd-prime-target", "no odd prime is realizable as a ratio")
+
+    def __new__(cls, value: str, explanation: str) -> UnrealizableReason:
+        reason = object.__new__(cls)
+        reason._value_ = value
+        reason.explanation = explanation
+        return reason
 
 
 @dataclass(frozen=True)
@@ -69,9 +78,6 @@ class NotFoundWithinBounds:
     """No witness among groups of order <= max_order_searched; open beyond."""
 
     max_order_searched: int
-
-
-SearchVerdict = Union[Witness, Unrealizable, NotFoundWithinBounds]
 
 
 def _as_positive_fraction(target: Fraction | int) -> Fraction:
@@ -99,7 +105,7 @@ def screen(target: Fraction | int) -> UnrealizableReason | None:
 
 def realize(
     target: Fraction | int, bounds: SearchBounds = SearchBounds()
-) -> SearchVerdict:
+) -> Witness | Unrealizable | NotFoundWithinBounds:
     """Screen, then sweep the multiples of the target's denominator.
 
     A group of order n has a ratio whose reduced denominator divides n,

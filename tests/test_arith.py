@@ -67,6 +67,9 @@ def test_is_squarefree():
 
 
 def test_primes_up_to():
+    assert primes_up_to(0) == []
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
+    assert primes_up_to(3) == [2, 3]
+    assert primes_up_to(4) == [2, 3]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

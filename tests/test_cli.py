@@ -172,6 +172,46 @@ def test_search_not_found(capsys):
     assert "no witness among groups of order <= 30" in out
 
 
+_SEARCH_OUTPUT = {
+    ("1/2", "text"): "witness: Z2 (order 2), ratio 1/2\n",
+    ("1/2", "json"): ('{"verdict": "witness", "group": "Z2", "order": 2, '
+                      '"ratio_num": 1, "ratio_den": 2}\n'),
+    ("1/2", "csv"): "verdict,group,order,ratio_num,ratio_den\nwitness,Z2,2,1,2\n",
+    ("1/4", "text"): ("unrealizable (non-squarefree-denominator): "
+                      "the reduced denominator has a squared prime factor\n"),
+    ("1/4", "json"): ('{"verdict": "unrealizable", '
+                      '"reason": "non-squarefree-denominator"}\n'),
+    ("1/4", "csv"): "verdict,reason\nunrealizable,non-squarefree-denominator\n",
+    ("3", "text"): ("unrealizable (odd-prime-target): "
+                    "no odd prime is realizable as a ratio\n"),
+    ("3", "json"): '{"verdict": "unrealizable", "reason": "odd-prime-target"}\n',
+    ("3", "csv"): "verdict,reason\nunrealizable,odd-prime-target\n",
+    ("9", "text"): "no witness among groups of order <= 30 (says nothing beyond)\n",
+    ("9", "json"): ('{"verdict": "not-found-within-bounds", '
+                    '"max_order_searched": 30}\n'),
+    ("9", "csv"): "verdict,max_order_searched\nnot-found-within-bounds,30\n",
+}
+
+
+@pytest.mark.parametrize("target,fmt", sorted(_SEARCH_OUTPUT))
+def test_search_every_verdict_in_every_format(capsys, target, fmt):
+    bound = ["--max-order", "30"] if target == "9" else []
+    assert main(["search", target, *bound, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _SEARCH_OUTPUT[target, fmt]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command,default", [
+    ("search", "(default: 10000)"), ("verify", "(default: 1000000)")])
+def test_help_shows_bound_defaults(capsys, monkeypatch, command, default):
+    monkeypatch.setenv("COLUMNS", "200")  # keep each option on one line
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert default in capsys.readouterr().out
+
+
 def test_search_strong_pseudoprime_is_not_called_prime(capsys):
     # psi_12 = 399165290221 * 798330580441 passes the strong test to the
     # first 12 prime bases, which alone would call it an odd prime.

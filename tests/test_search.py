@@ -45,6 +45,12 @@ def test_screen_rejects_nonpositive():
         screen(Fraction(-3, 2))
 
 
+def test_every_unrealizable_reason_explains_itself():
+    for reason in UnrealizableReason:
+        assert isinstance(reason.explanation, str) and reason.explanation
+        assert UnrealizableReason(reason.value) is reason
+
+
 # ----------------------------------------------------------------- realize
 
 def test_realize_screened_targets_without_scanning():
