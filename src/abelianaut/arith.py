@@ -119,26 +119,26 @@ def _smallest_prime_factors(n: int) -> array:
     return spf
 
 
-def factorizations_up_to(n: int) -> Iterator[dict[int, int]]:
-    """``factorize(k)`` for k = 1..n in turn, read off a sieve.
+def factorizations_up_to(n: int, step: int = 1) -> Iterator[dict[int, int]]:
+    """``factorize(k)`` for k = step, 2*step, ... <= n in turn, read off a sieve.
 
-    Each factorization walks k -> k / spf(k) down a smallest-prime-factor
-    sieve, with no trial division.  The sieve is rebuilt at twice the size
-    whenever k outgrows it, so it holds at most about 2k machine ints, a
-    caller that stops early never pays for a sieve up to n, and it lives
-    only as long as the iterator.
+    ``step`` is factored once, and each cofactor j = k/step walks
+    j -> j / spf(j) down a smallest-prime-factor sieve of the cofactors,
+    rebuilt at twice the size whenever j outgrows it: it holds at most
+    about 2j machine ints and lives only as long as the iterator.
     """
+    base = factorize(step) if step <= n else {}
     spf = array("I")
-    for k in range(1, n + 1):
-        if k >= len(spf):
-            spf = _smallest_prime_factors(min(n, 2 * k))
-        factors: dict[int, int] = {}
-        m = k
+    for j in range(1, n // step + 1):
+        if j >= len(spf):
+            spf = _smallest_prime_factors(min(n // step, 2 * j))
+        factors = dict(base)
+        m = j
         while m > 1:
             p = spf[m] or m
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
-            factors[p] = e
-        yield factors
+            factors[p] = factors.get(p, 0) + e
+        yield dict(sorted(factors.items())) if base else factors

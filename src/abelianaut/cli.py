@@ -282,7 +282,7 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
+    if not value >= 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
 

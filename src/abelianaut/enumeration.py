@@ -75,17 +75,17 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
     yield from _groups(factorize(order))
 
 
-def groups_up_to(max_order: int) -> Iterator[tuple[int, GroupShape]]:
-    """(order, group) for every abelian group of order 1..max_order.
+def groups_up_to(max_order: int, step: int = 1) -> Iterator[tuple[int, GroupShape]]:
+    """(order, group) for each abelian group of order step, 2step, ... <= max_order.
 
-    Same stream as :func:`groups_of_order` for 1, 2, ..., max_order, but
-    the orders are factored by one smallest-prime-factor sieve
-    (:func:`~abelianaut.arith.factorizations_up_to`) instead of trial
-    division, and each primary block comes from a table built once per
-    (p, a) and kept for the life of the process.
+    Same stream as :func:`groups_of_order` over those orders, but factored
+    off one sieve (:func:`~abelianaut.arith.factorizations_up_to`), each
+    primary block built once per (p, a).  Every sweep reads it: the atlas
+    and ``enumerate`` with step 1, the search with the target's denominator.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order!r}")
-    for order, factors in enumerate(factorizations_up_to(max_order), start=1):
+    if max_order < 1 or step < 1:
+        raise ValueError(f"need max_order, step >= 1, got {max_order!r}, {step!r}")
+    orders = range(step, max_order + 1, step)
+    for order, factors in zip(orders, factorizations_up_to(max_order, step)):
         for shape in _groups(factors):
             yield order, shape

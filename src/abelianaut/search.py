@@ -6,11 +6,12 @@ finite abelian group, and neither is an integer target that is an odd
 prime.  Every other target a/b (in lowest terms) is searched for
 exhaustively.  |Aut(G)|/|G| reduces to a fraction whose denominator
 divides |G|, so only groups whose order is a multiple of b can realize
-a/b; the search visits the orders b, 2b, 3b, ... in turn, and each
-order's groups in enumeration order, so the first hit is a witness of
-minimal group order.  Absence of a witness within bounds proves nothing
-(the full classification is open) and is reported as exactly that,
-never as unrealizable.
+a/b; the search reads the orders b, 2b, 3b, ... and each order's groups
+in enumeration order off the stream the atlas reads with step 1
+(:func:`~abelianaut.enumeration.groups_up_to`), so the first hit is a
+witness of minimal group order.  Absence of a witness within bounds
+proves nothing (the full classification is open) and is reported as
+exactly that, never as unrealizable.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class SearchBounds:
     def __post_init__(self) -> None:
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
-        if self.time_limit is not None and self.time_limit < 0:
+        if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
 
 
@@ -109,13 +110,13 @@ def realize(
     """Screen, then sweep the multiples of the target's denominator.
 
     A group of order n has a ratio whose reduced denominator divides n,
-    so for a target a/b only the orders b, 2b, 3b, ... up to max_order
-    are visited, each through its groups in enumeration order.  The
-    first hit is returned, so a Witness always has minimal order (ties
-    broken by enumeration order).  When the optional time budget runs
-    out before order kb is visited, the verdict is
-    NotFoundWithinBounds(kb - 1): every order below kb has been swept
-    or ruled out by divisibility.
+    so for a target a/b only the orders b, 2b, ... <= max_order are
+    visited (:func:`~abelianaut.enumeration.groups_up_to` with step b),
+    and a group hits when |Aut(G)| * b == a * n.  The first hit is
+    returned, so a Witness has minimal order (ties broken by enumeration
+    order).  The optional time budget is checked before each group; run
+    out on order n, it gives NotFoundWithinBounds(n - 1), since every
+    order below n has been swept or ruled out by divisibility.
     """
     target = _as_positive_fraction(target)
     reason = screen(target)
@@ -124,13 +125,12 @@ def realize(
     deadline = None
     if bounds.time_limit is not None:
         deadline = time.monotonic() + bounds.time_limit
-    step = target.denominator
-    for order in range(step, bounds.max_order + 1, step):
+    a, b = target.numerator, target.denominator
+    for order, shape in enumeration.groups_up_to(bounds.max_order, b):
         if deadline is not None and time.monotonic() >= deadline:
             return NotFoundWithinBounds(max_order_searched=order - 1)
-        for shape in enumeration.groups_of_order(order):
-            if core.ratio(shape) == target:
-                return Witness(group=shape, order=order)
+        if core.aut_order(shape) * b == a * order:
+            return Witness(group=shape, order=order)
     return NotFoundWithinBounds(max_order_searched=bounds.max_order)
 
 

@@ -4,6 +4,7 @@ from abelianaut.arith import (
     FactorizationOverflow,
     InvalidModulus,
     factorize,
+    factorizations_up_to,
     is_prime,
     is_squarefree,
     primes_up_to,
@@ -73,3 +74,11 @@ def test_primes_up_to():
     assert primes_up_to(3) == [2, 3]
     assert primes_up_to(4) == [2, 3]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("step", [1, 2, 12, 30, 97, 2000, 2001])
+def test_stepped_sieve_factorizations_equal_trial_division(step):
+    got = list(factorizations_up_to(2000, step))
+    want = [factorize(k) for k in range(step, 2001, step)]
+    assert got == want
+    assert [list(f) for f in got] == [list(f) for f in want]  # primes ascending

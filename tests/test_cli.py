@@ -334,6 +334,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
+def test_search_time_limit_nan_is_a_usage_error(capsys):
+    # nan >= 0 is False, so a NaN budget would set a deadline never reached.
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "9", "--time-limit", "nan"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--time-limit: must be >= 0" in err
+    assert main(["search", "3/2", "--time-limit", "inf"]) == 0  # inf: no limit
+
+
 def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -355,3 +365,12 @@ def test_closed_output_pipe_exits_quietly():
     assert b"Traceback" not in err
     assert err == b""
     assert proc.returncode == 0
+
+
+def test_package_imports_with_the_standard_library_alone():
+    # -S leaves site-packages off sys.path, so a third-party import fails.
+    env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import abelianaut.cli, abelianaut.oracle"],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -98,6 +98,19 @@ def test_groups_up_to_counts():
     assert len(list(groups_up_to(8))) == 11
 
 
+@pytest.mark.parametrize("max_order, step", sorted(
+    {(m, step) for m in (1, 300) for step in (1, 2, 6, 7, 30, m, m + 1)}))
+def test_groups_up_to_step_keeps_the_multiples_of_step(max_order, step):
+    want = [(o, g) for o, g in groups_up_to(max_order) if o % step == 0]
+    assert list(groups_up_to(max_order, step)) == want
+
+
+@pytest.mark.parametrize("max_order, step", [(0, 1), (10, 0), (10, -3)])
+def test_groups_up_to_rejects_bounds_below_1(max_order, step):
+    with pytest.raises(ValueError):
+        list(groups_up_to(max_order, step))
+
+
 def test_stream_deterministic():
     first = list(groups_up_to(120))
     second = list(groups_up_to(120))

@@ -101,11 +101,23 @@ def test_realize_time_budget_maps_to_not_found():
     assert v == NotFoundWithinBounds(max_order_searched=5)
 
 
+def test_realize_factors_the_sweep_off_the_sieve(monkeypatch):
+    def trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr("abelianaut.enumeration.factorize", trial_division)
+    v = realize(Fraction(9), SearchBounds(max_order=10**4))
+    assert v == NotFoundWithinBounds(max_order_searched=10**4)
+
+
 def test_search_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(max_order=0)
     with pytest.raises(ValueError):
         SearchBounds(max_order=10, time_limit=-1.0)
+    with pytest.raises(ValueError):
+        SearchBounds(max_order=10, time_limit=float("nan"))  # a deadline never reached
+    assert SearchBounds(max_order=10, time_limit=float("inf")).time_limit == float("inf")
 
 
 # ------------------------------------------------------------------- atlas
@@ -146,7 +158,9 @@ def test_realize_atlas_consistency():
 
 def test_realize_finds_every_atlas_witness_with_a_denominator():
     bounds = SearchBounds(max_order=1000)
-    fractions = {t: w for t, w in ratio_atlas(bounds).items() if t.denominator > 1}
-    assert len(fractions) == 1000
-    for target, witness in fractions.items():
+    atlas = ratio_atlas(bounds)
+    assert sum(t.denominator > 1 for t in atlas) == 1000
+    # and the integer targets too, whose sweep steps through every order
+    assert sum(t.denominator == 1 for t in atlas) == 157
+    for target, witness in atlas.items():
         assert realize(target, bounds) == witness
