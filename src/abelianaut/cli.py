@@ -23,6 +23,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
 from . import core, enumeration, oracle, search
@@ -171,15 +172,11 @@ def cmd_valuation(args: argparse.Namespace) -> int:
 
 
 def _enumerate_rows(max_order: int) -> Iterator[dict]:
-    for order, shape in enumeration.groups_up_to(max_order):
-        r = core.ratio(shape)
-        yield {
-            "order": order,
-            "group": str(shape),
-            "aut_order": core.aut_order(shape),
-            "ratio_num": r.numerator,
-            "ratio_den": r.denominator,
-        }
+    for order, groups in enumeration._sweep(max_order):
+        for blocks, aut in groups:
+            g = gcd(aut, order)
+            yield {"order": order, "group": str(GroupShape(blocks)), "aut_order": aut,
+                   "ratio_num": aut // g, "ratio_den": order // g}
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -342,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", parents=[common],
                        help="map every achieved ratio to its smallest witness")
     p.add_argument("--max-order", type=_positive_int, metavar="N",
-                   default=SearchBounds.max_order)
+                   default=SearchBounds.max_order,
+                   help="largest group order to sweep (default: %(default)s)")
     p.set_defaults(handler=cmd_atlas)
 
     p = sub.add_parser(

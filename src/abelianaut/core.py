@@ -10,6 +10,8 @@ exponent partition); :class:`GroupShape` records the whole product.  The
 automorphism count of a prime block is a closed-form product over the
 exponent positions, and blocks of coprime order cannot map into one
 another, so the count for the whole group is just the product over blocks.
+Sweeps do not call these per group: :mod:`abelianaut.enumeration`
+counts each block once in its block table and multiplies the counts.
 
 All arithmetic is exact: Python big integers for counts and orders,
 :class:`fractions.Fraction` for the ratio |Aut(G)|/|G|.  There is no
@@ -22,7 +24,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from itertools import groupby
 from math import prod
 from typing import Iterable, Mapping
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping
 from .arith import InvalidModulus, factorize, is_prime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PGroupShape:
     """A finite abelian p-group: a prime and a sorted exponent partition.
 
@@ -70,13 +71,13 @@ class PGroupShape:
         return " x ".join(f"Z{self.p ** e}" for e in self.exponents)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupShape:
     """A finite abelian group as its canonical per-prime decomposition.
 
     Factors are kept sorted by prime; the empty product is the trivial
-    group (order 1).  Instances are immutable and hashable, so they can be
-    used as dict keys (the ratio atlas does exactly that).
+    group (order 1).  Instances are immutable and hashable, and slotted
+    (no per-instance dict), since the ratio atlas keeps one per ratio.
     """
 
     factors: tuple[PGroupShape, ...] = ()
@@ -205,7 +206,6 @@ def canonicalize(moduli: Iterable[int]) -> GroupShape:
     )
 
 
-@cache
 def aut_order_p(shape: PGroupShape) -> int:
     """Exact automorphism count of an abelian p-group.
 
@@ -217,10 +217,7 @@ def aut_order_p(shape: PGroupShape) -> int:
     into higher- and lower-exponent factors (Hillar and Rhea, "Automorphisms
     of finite abelian groups", Amer. Math. Monthly 114, 2007).
 
-    Memoized per block: an enumeration sweep reuses each primary block
-    from its block table (:mod:`abelianaut.enumeration`), so the count is
-    computed once per distinct block and :func:`aut_order` is one multiply
-    per block after that.
+    Not memoized: sweeps read each block's count off the enumeration's table.
 
     >>> aut_order_p(PGroupShape(2, (1, 1)))
     6

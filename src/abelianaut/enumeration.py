@@ -5,16 +5,19 @@ partition per prime power in N's factorization, so the stream is
 duplicate-free by construction.  The order of emission is deterministic
 and documented, because downstream searches return the first hit and
 therefore rely on it for witness minimality.
+
+Each primary block is built and counted once, in a cached (p, a) table;
+a sweep folds the counts into each group's |Aut| prime by prime and
+builds a GroupShape only for the groups it hands out.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
 from typing import Iterator
 
 from .arith import factorize, factorizations_up_to, primes_up_to
-from .core import GroupShape, PGroupShape
+from .core import GroupShape, PGroupShape, aut_order_p
 
 
 def partitions(total: int) -> Iterator[tuple[int, ...]]:
@@ -40,9 +43,12 @@ def _descending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 @cache
-def _blocks(p: int, a: int) -> tuple[PGroupShape, ...]:
-    """Every p-group of order p^a, in :func:`partitions` order, built once."""
-    return tuple(PGroupShape(p, exps) for exps in partitions(a))
+def _blocks(p: int, a: int) -> tuple[tuple[PGroupShape, int], ...]:
+    """(block, |Aut(block)|) for each p-group of order p^a, in :func:`partitions`
+    order.  Counted by the ``aut_order_p`` bound at import, so rebinding
+    ``core.aut_order_p`` cannot leave a wrong count in the cache."""
+    shapes = [PGroupShape(p, exps) for exps in partitions(a)]
+    return tuple(zip(shapes, map(aut_order_p, shapes)))
 
 
 def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
@@ -54,13 +60,20 @@ def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
     for p in primes_up_to(max_order):
         a = 1
         while p**a <= max_order:
-            yield from _blocks(p, a)
+            for shape, _ in _blocks(p, a):
+                yield shape
             a += 1
 
 
-def _groups(factors: dict[int, int]) -> Iterator[GroupShape]:
-    """One group per choice of block for each prime, primes ascending."""
-    return map(GroupShape, product(*(_blocks(p, a) for p, a in factors.items())))
+def _groups(factors: dict[int, int]) -> list[tuple[tuple[PGroupShape, ...], int]]:
+    """(blocks, |Aut|) per group of the order ``factors`` spells, in
+    :func:`groups_of_order` order, |Aut| folded prime by prime."""
+    groups = [((), 1)]
+    for p, a in factors.items():
+        table = _blocks(p, a)
+        groups = [(blocks + (shape,), aut * block_aut)
+                  for blocks, aut in groups for shape, block_aut in table]
+    return groups
 
 
 def groups_of_order(order: int) -> Iterator[GroupShape]:
@@ -72,20 +85,25 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order!r}")
-    yield from _groups(factorize(order))
+    for blocks, _ in _groups(factorize(order)):
+        yield GroupShape(blocks)
+
+
+def _sweep(max_order: int, step: int = 1) -> Iterator[tuple[int, list]]:
+    """(order, :func:`_groups` of it) for order = step, 2step, ... <= max_order,
+    factored off one sieve: the stream the atlas, enumerate and search read."""
+    if max_order < 1 or step < 1:
+        raise ValueError(f"need max_order, step >= 1, got {max_order!r}, {step!r}")
+    orders = range(step, max_order + 1, step)
+    return zip(orders, map(_groups, factorizations_up_to(max_order, step)))
 
 
 def groups_up_to(max_order: int, step: int = 1) -> Iterator[tuple[int, GroupShape]]:
     """(order, group) for each abelian group of order step, 2step, ... <= max_order.
 
-    Same stream as :func:`groups_of_order` over those orders, but factored
-    off one sieve (:func:`~abelianaut.arith.factorizations_up_to`), each
-    primary block built once per (p, a).  Every sweep reads it: the atlas
-    and ``enumerate`` with step 1, the search with the target's denominator.
+    Same stream as :func:`groups_of_order` over those orders, read off
+    the sieve-fed sweep that the atlas and the search read.
     """
-    if max_order < 1 or step < 1:
-        raise ValueError(f"need max_order, step >= 1, got {max_order!r}, {step!r}")
-    orders = range(step, max_order + 1, step)
-    for order, factors in zip(orders, factorizations_up_to(max_order, step)):
-        for shape in _groups(factors):
-            yield order, shape
+    for order, groups in _sweep(max_order, step):
+        for blocks, _ in groups:
+            yield order, GroupShape(blocks)

@@ -7,11 +7,11 @@ prime.  Every other target a/b (in lowest terms) is searched for
 exhaustively.  |Aut(G)|/|G| reduces to a fraction whose denominator
 divides |G|, so only groups whose order is a multiple of b can realize
 a/b; the search reads the orders b, 2b, 3b, ... and each order's groups
-in enumeration order off the stream the atlas reads with step 1
-(:func:`~abelianaut.enumeration.groups_up_to`), so the first hit is a
-witness of minimal group order.  Absence of a witness within bounds
-proves nothing (the full classification is open) and is reported as
-exactly that, never as unrealizable.
+in enumeration order, with |Aut| from the block table, off the sweep the
+atlas reads with step 1, so the first hit is a witness of minimal group
+order.  Both build a GroupShape only for what they return.  Absence of a
+witness within bounds proves nothing (the full classification is open)
+and is reported as exactly that, never as unrealizable.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
-from . import core, enumeration
+from . import enumeration
 from .arith import is_prime, is_squarefree
 from .core import GroupShape
 
@@ -59,7 +60,7 @@ class UnrealizableReason(Enum):
         return reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A group realizing the target ratio exactly, with its order."""
 
@@ -111,12 +112,13 @@ def realize(
 
     A group of order n has a ratio whose reduced denominator divides n,
     so for a target a/b only the orders b, 2b, ... <= max_order are
-    visited (:func:`~abelianaut.enumeration.groups_up_to` with step b),
-    and a group hits when |Aut(G)| * b == a * n.  The first hit is
-    returned, so a Witness has minimal order (ties broken by enumeration
-    order).  The optional time budget is checked before each group; run
-    out on order n, it gives NotFoundWithinBounds(n - 1), since every
-    order below n has been swept or ruled out by divisibility.
+    visited (the sweep under :func:`~abelianaut.enumeration.groups_up_to`,
+    step b), and a group hits when |Aut(G)| * b == a * n.  The first hit,
+    the only group built as a GroupShape, is returned, so a Witness has
+    minimal order (ties broken by enumeration order).  The optional time
+    budget is checked before each group; run out on order n, it gives
+    NotFoundWithinBounds(n - 1), since every order below n has been swept
+    or ruled out by divisibility.
     """
     target = _as_positive_fraction(target)
     reason = screen(target)
@@ -126,11 +128,12 @@ def realize(
     if bounds.time_limit is not None:
         deadline = time.monotonic() + bounds.time_limit
     a, b = target.numerator, target.denominator
-    for order, shape in enumeration.groups_up_to(bounds.max_order, b):
-        if deadline is not None and time.monotonic() >= deadline:
-            return NotFoundWithinBounds(max_order_searched=order - 1)
-        if core.aut_order(shape) * b == a * order:
-            return Witness(group=shape, order=order)
+    for order, groups in enumeration._sweep(bounds.max_order, b):
+        for blocks, aut in groups:
+            if deadline is not None and time.monotonic() >= deadline:
+                return NotFoundWithinBounds(max_order_searched=order - 1)
+            if aut * b == a * order:
+                return Witness(group=GroupShape(blocks), order=order)
     return NotFoundWithinBounds(max_order_searched=bounds.max_order)
 
 
@@ -139,11 +142,17 @@ def ratio_atlas(bounds: SearchBounds = SearchBounds()) -> dict[Fraction, Witness
 
     Keys appear in discovery order (witness order ascending), so the
     mapping is deterministic and each value is the minimal-order witness
-    for its key.
+    for its key.  Ratios are deduped as num * (max_order + 1) + den, one
+    int per reduced pair (den <= max_order), before any Fraction is built.
     """
     atlas: dict[Fraction, Witness] = {}
-    for order, shape in enumeration.groups_up_to(bounds.max_order):
-        r = core.ratio(shape)
-        if r not in atlas:
-            atlas[r] = Witness(group=shape, order=order)
+    seen: set[int] = set()
+    radix = bounds.max_order + 1
+    for order, groups in enumeration._sweep(bounds.max_order):
+        for blocks, aut in groups:
+            g = gcd(aut, order)
+            key = aut // g * radix + order // g
+            if key not in seen:
+                seen.add(key)
+                atlas[Fraction(aut, order)] = Witness(GroupShape(blocks), order)
     return atlas

@@ -2,16 +2,20 @@
 
 These deliberately avoid the library's own code paths: the partition
 counter uses the pentagonal-number recurrence instead of generating
-partitions, the multiplicity counter is plain repeated division, and the
+partitions, the multiplicity counter is plain repeated division, the
 subgroup closure is a breadth-first search under addition instead of the
-oracle's coset extension.
+oracle's coset extension, and the reference atlas counts every group
+through ``aut_order_p`` and a ``Fraction`` instead of reading the
+enumeration's block table.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from abelianaut import PGroupShape
+from abelianaut import PGroupShape, Witness, aut_order_p, groups_of_order
 
 
 @lru_cache(maxsize=None)
@@ -57,3 +61,13 @@ def bfs_closure(generators, shape: PGroupShape) -> int:
                 seen.add(y)
                 queue.append(y)
     return len(seen)
+
+
+def reference_atlas(max_order: int) -> dict[Fraction, Witness]:
+    """Ratio -> first witness, one order and one group at a time."""
+    atlas: dict[Fraction, Witness] = {}
+    for order in range(1, max_order + 1):
+        for group in groups_of_order(order):
+            r = Fraction(prod(aut_order_p(f) for f in group.factors), order)
+            atlas.setdefault(r, Witness(group, order))
+    return atlas

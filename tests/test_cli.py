@@ -203,7 +203,8 @@ def test_search_every_verdict_in_every_format(capsys, target, fmt):
 
 
 @pytest.mark.parametrize("command,default", [
-    ("search", "(default: 10000)"), ("verify", "(default: 1000000)")])
+    ("search", "(default: 10000)"), ("atlas", "(default: 10000)"),
+    ("verify", "(default: 1000000)")])
 def test_help_shows_bound_defaults(capsys, monkeypatch, command, default):
     monkeypatch.setenv("COLUMNS", "200")  # keep each option on one line
     with pytest.raises(SystemExit) as exc:

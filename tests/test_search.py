@@ -4,6 +4,7 @@ import pytest
 
 from abelianaut import (
     GroupShape,
+    PGroupShape,
     NotFoundWithinBounds,
     SearchBounds,
     Unrealizable,
@@ -14,6 +15,9 @@ from abelianaut import (
     realize,
     screen,
 )
+from abelianaut import core, enumeration
+from abelianaut.cli import main
+from helpers import reference_atlas
 
 
 # ------------------------------------------------------------------ screen
@@ -158,9 +162,32 @@ def test_realize_atlas_consistency():
 
 def test_realize_finds_every_atlas_witness_with_a_denominator():
     bounds = SearchBounds(max_order=1000)
-    atlas = ratio_atlas(bounds)
+    atlas = reference_atlas(1000)
     assert sum(t.denominator > 1 for t in atlas) == 1000
     # and the integer targets too, whose sweep steps through every order
     assert sum(t.denominator == 1 for t in atlas) == 157
     for target, witness in atlas.items():
         assert realize(target, bounds) == witness
+
+
+def test_atlas_equals_the_per_group_reference_in_order():
+    assert list(ratio_atlas(SearchBounds(3000)).items()) == list(
+        reference_atlas(3000).items())
+
+
+def test_block_table_keeps_no_patched_count(monkeypatch, capsys):
+    enumeration._blocks.cache_clear()
+    monkeypatch.setattr(core, "aut_order_p", lambda shape: 1)
+    assert main(["verify", "--max-order", "4"]) == 3  # verify reads the patch
+    ratio_atlas(SearchBounds(16))
+    monkeypatch.undo()
+    assert list(ratio_atlas(SearchBounds(64)).items()) == list(
+        reference_atlas(64).items())
+
+
+def test_shapes_and_witnesses_carry_no_instance_dict():
+    # The atlas holds one Witness and its shapes per ratio; slots keep
+    # its peak memory down.
+    block = PGroupShape(3, (1, 2))
+    for obj in (block, GroupShape((block,)), Witness(GroupShape((block,)), 27)):
+        assert not hasattr(obj, "__dict__"), type(obj)
