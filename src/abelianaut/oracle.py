@@ -11,8 +11,32 @@ the ones whose subgroup closure is everything, and count.
 The tuples are walked slot by slot, depth first, so tuples that share a
 prefix share that prefix's closure.  One routine, :func:`_extend`, grows
 a subgroup H by one generator g as the union of the cosets H + j*g for
-j below k = min{k >= 1 : k*g in H}.  At the last slot nothing is built:
-a candidate g completes the tuple exactly when |H| * k = |G|.
+j below k = min{k >= 1 : k*g in H}, so |<H, g>| = |H| * k.
+
+At the last slot nothing is built and no multiple of g is walked.  Let
+q = |G| / |H|.  A candidate g completes the tuple exactly when q == 1, or
+when q > 1 and (q/p)*g is not in H.  Proof: g completes exactly when
+|H| * k = |G|, that is, when k = q.
+
+- The cosets H + j*g for 0 <= j < k are pairwise disjoint: if
+  H + i*g = H + j*g with 0 <= i < j < k, then (j - i)*g is in H with
+  0 < j - i < k, against the choice of k.  They lie in G, so |H| * k is
+  at most |G|, that is, k <= q.
+- The set {j in Z : j*g in H} is closed under sums and negation, so it is
+  the subgroup kZ.  It contains |G| = p^a, because |G|*g = 0 is in H.  So
+  k divides p^a and is a power of p.  By Lagrange, q is a power of p too.
+- If q == 1, then k = 1 = q, and every candidate completes.  Otherwise
+  q/p is an integer, and a power of p that is at most q fails to divide
+  q/p exactly when it equals q.  So k = q exactly when k does not divide
+  q/p, that is, exactly when (q/p)*g is not in H.
+
+This is counting on cosets and nothing more: no formula for |Aut|, no
+Frattini argument and no rank argument.  In particular q == 1 cannot
+arise through :func:`count_automorphisms`, since n - 1 images cannot
+generate a group of rank n, but the branch stays rather than lean on that.
+Within one call each last-slot candidate is scaled once per distinct
+multiplier q/p (at most a of them), and each completion test is one set
+probe.
 
 Nothing here shares logic with the closed-form path in :mod:`.core` --
 no formula, no matrix bookkeeping -- which is what makes agreement
@@ -58,6 +82,8 @@ def _check_vector(vector: Sequence[int], shape: PGroupShape) -> ElementVector:
     if len(v) != shape.rank:
         raise ValueError(f"expected {shape.rank} coordinates, got {len(v)}")
     for c, m in zip(v, _moduli(shape)):
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"coordinate {c!r} is not an integer")
         if not 0 <= c < m:
             raise ValueError(f"coordinate {c} out of range [0, {m})")
     return v
@@ -88,13 +114,8 @@ def _add(u: ElementVector, v: ElementVector, moduli: Sequence[int]) -> ElementVe
     return tuple(map(mod, map(add, u, v), moduli))
 
 
-def _index(subgroup: set[ElementVector], g: ElementVector, moduli: Sequence[int]) -> int:
-    """min{k >= 1 : k*g in subgroup}; k = order of g at the latest."""
-    k, m = 1, g
-    while m not in subgroup:
-        k += 1
-        m = _add(m, g, moduli)
-    return k
+def _scale(g: ElementVector, j: int, moduli: Sequence[int]) -> ElementVector:
+    return tuple(c * j % m for c, m in zip(g, moduli))
 
 
 def _extend(
@@ -147,7 +168,7 @@ def count_automorphisms(
     # j-th coordinate is a multiple of m_j / gcd(m_j, m_i).
     slots = [list(product(*(range(0, m, m // gcd(m, mi)) for m in moduli)))
              for mi in moduli]
-    return _count({(0,) * n}, slots, moduli, size)
+    return _count({(0,) * n}, slots, moduli, size, shape.p, {})
 
 
 def _count(
@@ -155,11 +176,20 @@ def _count(
     slots: list[list[ElementVector]],
     moduli: list[int],
     size: int,
+    p: int,
+    multiples: dict[int, list[ElementVector]],
 ) -> int:
     """Fillings of ``slots`` that, with the closure ``prefix`` of the images
-    chosen so far, generate all ``size`` elements."""
+    chosen so far, generate all ``size`` elements.  ``multiples`` caches
+    j*g for each last-slot candidate g, keyed by the multiplier j."""
     first, rest = slots[0], slots[1:]
     if not rest:
-        h = len(prefix)
-        return sum(h * _index(prefix, g, moduli) == size for g in first)
-    return sum(_count(_extend(prefix, g, moduli), rest, moduli, size) for g in first)
+        q = size // len(prefix)
+        if q == 1:
+            return len(first)
+        j = q // p
+        if j not in multiples:
+            multiples[j] = [_scale(g, j, moduli) for g in first]
+        return len(first) - sum(map(prefix.__contains__, multiples[j]))
+    return sum(_count(_extend(prefix, g, moduli), rest, moduli, size, p, multiples)
+               for g in first)

@@ -4,15 +4,17 @@ These deliberately avoid the library's own code paths: the partition
 counter uses the pentagonal-number recurrence instead of generating
 partitions, the multiplicity counter is plain repeated division, the
 subgroup closure is a breadth-first search under addition instead of the
-oracle's coset extension, and the reference atlas counts every group
-through ``aut_order_p`` and a ``Fraction`` instead of reading the
-enumeration's block table.
+oracle's coset extension, the naive automorphism count tries every image
+tuple with that search instead of the oracle's slots and last-slot probe,
+and the reference atlas counts every group through ``aut_order_p`` and a
+``Fraction`` instead of reading the enumeration's block table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 from abelianaut import PGroupShape, Witness, aut_order_p, groups_of_order
@@ -47,8 +49,8 @@ def multiplicity(n: int, p: int) -> int:
     return count
 
 
-def bfs_closure(generators, shape: PGroupShape) -> int:
-    """Order of the subgroup generated, by closure under addition from zero."""
+def bfs_subgroup(generators, shape: PGroupShape) -> set[tuple[int, ...]]:
+    """The subgroup generated, by closure under addition from zero."""
     moduli = [shape.p**e for e in shape.exponents]
     gens = [tuple(g) for g in generators]
     zero = (0,) * len(moduli)
@@ -60,7 +62,28 @@ def bfs_closure(generators, shape: PGroupShape) -> int:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return len(seen)
+    return seen
+
+
+def bfs_closure(generators, shape: PGroupShape) -> int:
+    """Order of the subgroup generated, by closure under addition from zero."""
+    return len(bfs_subgroup(generators, shape))
+
+
+def naive_automorphism_count(shape: PGroupShape) -> int:
+    """|Aut(G)| from all |G|^n image tuples, one breadth-first closure each.
+
+    A tuple defines an endomorphism when its i-th image is killed by
+    p^e_i, and an automorphism when the images generate all of G.
+    """
+    moduli = [shape.p**e for e in shape.exponents]
+    elements = list(product(*(range(m) for m in moduli)))
+    count = 0
+    for images in product(elements, repeat=len(moduli)):
+        if all(c * mi % m == 0 for g, mi in zip(images, moduli)
+               for c, m in zip(g, moduli)):
+            count += bfs_closure(images, shape) == shape.order
+    return count
 
 
 def reference_atlas(max_order: int) -> dict[Fraction, Witness]:

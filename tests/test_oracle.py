@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from abelianaut import (
     element_order,
     subgroup_closure,
 )
-from helpers import bfs_closure
+from helpers import bfs_closure, bfs_subgroup, naive_automorphism_count
 
 Z2xZ4 = PGroupShape(2, (1, 2))
 
@@ -37,6 +38,15 @@ def test_element_order_rejects_bad_vectors():
         element_order((2, 0), Z2xZ4)
     with pytest.raises(ValueError):
         element_order((0, -1), Z2xZ4)
+
+
+@pytest.mark.parametrize("vector", [(0.5, 0), (1.0, 0), (0, Fraction(1)),
+                                    (True, 0), (0, False), ("1", 0)])
+def test_non_integer_coordinates_are_rejected(vector):
+    with pytest.raises(ValueError):
+        element_order(vector, Z2xZ4)
+    with pytest.raises(ValueError):
+        subgroup_closure([(0, 1), vector], Z2xZ4)
 
 
 def test_element_order_matches_repeated_addition():
@@ -125,3 +135,36 @@ def test_budget_validation():
 def test_count_bounded_by_candidate_space():
     shape = PGroupShape(2, (1, 1))
     assert count_automorphisms(shape) <= shape.order**shape.rank
+
+
+@pytest.mark.parametrize("p, exps", [
+    (2, (1, 1)), (2, (1, 2)), (3, (1, 1)), (2, (1, 3)), (2, (2, 2)),
+    (5, (1, 1)), (3, (1, 2)), (2, (1, 1, 1)), (2, (1, 1, 2)), (2, (3,)),
+    (3, (3,)),
+])
+def test_count_equals_the_naive_count_over_every_image_tuple(p, exps):
+    shape = PGroupShape(p, exps)
+    assert count_automorphisms(shape) == naive_automorphism_count(shape)
+
+
+def test_last_slot_completion_is_one_probe_at_q_over_p():
+    """<H, g> = G exactly when q = |G|/|H| is 1 or (q/p)*g is not in H."""
+    rng = random.Random(2718)
+    shapes = [Z2xZ4, PGroupShape(2, (1, 1, 1)), PGroupShape(2, (1, 1, 2)),
+              PGroupShape(2, (2, 2)), PGroupShape(3, (1, 2)), PGroupShape(5, (1, 1)),
+              PGroupShape(3, (2,))]
+    seen_q = set()
+    for shape in shapes:
+        moduli = [shape.p**e for e in shape.exponents]
+        vectors = _all_vectors(shape)
+        for _ in range(15):
+            gens = [rng.choice(vectors) for _ in range(rng.randint(0, shape.rank))]
+            h = bfs_subgroup(gens, shape)
+            q = shape.order // len(h)
+            seen_q.add(q)
+            for g in vectors:
+                generates = bfs_closure(gens + [g], shape) == shape.order
+                j = q // shape.p
+                probe = q == 1 or tuple(c * j % m for c, m in zip(g, moduli)) not in h
+                assert generates == probe, (shape, gens, g)
+    assert {1, 2, 3, 4, 5, 8, 9, 25} <= seen_q
