@@ -14,9 +14,7 @@ from .arith import (
     primes_up_to,
 )
 from .core import (
-    DivisibleGuaranteeOnly,
     GroupShape,
-    PGroupClass,
     PGroupClassKind,
     PGroupShape,
     aut_order,
@@ -50,13 +48,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded",
-    "DivisibleGuaranteeOnly",
     "FactorizationOverflow",
     "GroupShape",
     "InvalidModulus",
     "NotFoundWithinBounds",
     "OracleBudget",
-    "PGroupClass",
     "PGroupClassKind",
     "PGroupShape",
     "SearchBounds",

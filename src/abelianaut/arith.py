@@ -26,6 +26,11 @@ class FactorizationOverflow(ValueError):
     """An integer too large to factor by trial division or to test for primality."""
 
 
+def is_positive_int(value: object) -> bool:
+    """True for an int >= 1; a bool is not taken for an int."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 # The first 13 primes as bases make the strong-pseudoprime test exact for
 # every n below psi_13 = 3317044064679887385961981, the least strong
 # pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -74,7 +79,7 @@ def factorize(n: int) -> dict[int, int]:
     anything larger raises :class:`FactorizationOverflow` rather than
     running forever or returning an uncertified factorization.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_positive_int(n):
         raise InvalidModulus(f"expected a positive integer, got {n!r}")
     limit = DEFAULT_TRIAL_DIVISOR_LIMIT
     if n > limit * limit:

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import core, enumeration, oracle, search
 from .arith import FactorizationOverflow, InvalidModulus
-from .core import GroupShape, PGroupShape
+from .core import GroupShape, PGroupClassKind, PGroupShape
 from .oracle import BudgetExceeded, OracleBudget
 from .search import SearchBounds, Unrealizable, Witness
 
@@ -131,16 +131,25 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 def cmd_ratio(args: argparse.Namespace) -> int:
     shape = parse_group(args.group)
-    r = core.ratio(shape)
+    aut = core.aut_order(shape)
+    r = Fraction(aut, shape.order)
     row = {
         "group": str(shape),
         "order": shape.order,
-        "aut_order": core.aut_order(shape),
+        "aut_order": aut,
         "ratio_num": r.numerator,
         "ratio_den": r.denominator,
     }
     _emit([row], args.format, lambda r: _ratio_str(r["ratio_num"], r["ratio_den"]))
     return EXIT_OK
+
+
+def _class_label(block: PGroupShape) -> str:
+    """The classify column: the kind, with e appended as ``(e)`` for Z_p x Z_{p^e}."""
+    kind = core.classify(block)
+    if kind is PGroupClassKind.ZP_TIMES_HIGHER:
+        return f"{kind.value}({block.exponents[1]})"
+    return kind.value
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -149,7 +158,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print("trivial group: no primary components", file=sys.stderr)
         return EXIT_OK
     rows = [
-        {"group": str(shape), "p": f.p, "class": str(core.classify(f))}
+        {"group": str(shape), "p": f.p, "class": _class_label(f)}
         for f in shape.factors
     ]
     _emit(rows, args.format, lambda r: f"p={r['p']}: {r['class']}")
@@ -213,7 +222,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_atlas(args: argparse.Namespace) -> int:
-    atlas = search.ratio_atlas(SearchBounds(max_order=args.max_order))
+    atlas = search.ratio_atlas(args.max_order)
     rows = (
         {
             "ratio_num": r.numerator,

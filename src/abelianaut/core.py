@@ -28,7 +28,7 @@ from itertools import groupby
 from math import prod
 from typing import Iterable, Mapping
 
-from .arith import InvalidModulus, factorize, is_prime
+from .arith import InvalidModulus, factorize, is_positive_int, is_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +47,9 @@ class PGroupShape:
         exps = tuple(sorted(self.exponents))
         if not exps:
             raise ValueError("exponent partition must be nonempty")
-        if any(not isinstance(e, int) or isinstance(e, bool) or e < 1 for e in exps):
+        if not all(map(is_positive_int, exps)):
             raise ValueError(f"exponents must be positive integers, got {exps!r}")
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or not is_prime(self.p):
+        if not is_positive_int(self.p) or not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
         object.__setattr__(self, "exponents", exps)
 
@@ -120,21 +120,19 @@ class GroupShape:
 class ValuationParts:
     """Exact multiplicity of p in |Aut| of a p-group, split by source.
 
-    ``total`` = n(n-1)/2 + d + c, where n is the rank, d collects the
-    contributions from mapping lower-exponent factors into strictly higher
-    ones, and c the contributions within and above each exponent level.
+    n is the rank, d collects the contributions from mapping
+    lower-exponent factors into strictly higher ones, and c the
+    contributions within and above each exponent level.
     """
 
     n: int
     d: int
     c: int
-    total: int
 
-    def __post_init__(self) -> None:
-        if self.d < 0 or self.c < 0:
-            raise ValueError("d and c are nonnegative by construction")
-        if self.total != self.n * (self.n - 1) // 2 + self.d + self.c:
-            raise ValueError("total must equal n(n-1)/2 + d + c")
+    @property
+    def total(self) -> int:
+        """The multiplicity itself: n(n-1)/2 + d + c."""
+        return self.n * (self.n - 1) // 2 + self.d + self.c
 
 
 class PGroupClassKind(Enum):
@@ -145,42 +143,6 @@ class PGroupClassKind(Enum):
     ZP_TIMES_HIGHER = "zp-times-higher"
     ELEMENTARY_RANK3 = "elementary-rank-3"
     GENERAL = "general"
-
-
-@dataclass(frozen=True)
-class PGroupClass:
-    """Classification of a p-group shape; exactly one kind applies.
-
-    ``higher_exponent`` is set only for ZP_TIMES_HIGHER (the i in
-    Z_p x Z_{p^i}, i > 1).
-    """
-
-    kind: PGroupClassKind
-    higher_exponent: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is PGroupClassKind.ZP_TIMES_HIGHER:
-            if self.higher_exponent is None or self.higher_exponent < 2:
-                raise ValueError("zp-times-higher needs a top exponent >= 2")
-        elif self.higher_exponent is not None:
-            raise ValueError(f"{self.kind.value} carries no exponent parameter")
-
-    def __str__(self) -> str:
-        if self.kind is PGroupClassKind.ZP_TIMES_HIGHER:
-            return f"{self.kind.value}({self.higher_exponent})"
-        return self.kind.value
-
-
-class _DivisibleGuaranteeOnlyType:
-    """Marker: no closed form, only the p(p-1)^2 divisibility guarantee."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "DivisibleGuaranteeOnly"
-
-
-DivisibleGuaranteeOnly = _DivisibleGuaranteeOnlyType()
 
 
 def canonicalize(moduli: Iterable[int]) -> GroupShape:
@@ -197,7 +159,7 @@ def canonicalize(moduli: Iterable[int]) -> GroupShape:
     """
     per_prime: dict[int, list[int]] = {}
     for m in moduli:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        if not is_positive_int(m):
             raise InvalidModulus(f"moduli must be integers >= 1, got {m!r}")
         for p, e in factorize(m).items():
             per_prime.setdefault(p, []).append(e)
@@ -268,42 +230,38 @@ def p_valuation_of_aut(shape: PGroupShape) -> ValuationParts:
     n = suffix[0]
     d = sum(e * k * suffix[j + 1] for j, (e, k) in enumerate(levels[:-1]))
     c = sum((e - 1) * k * suffix[j] for j, (e, k) in enumerate(levels))
-    return ValuationParts(n=n, d=d, c=c, total=n * (n - 1) // 2 + d + c)
+    return ValuationParts(n=n, d=d, c=c)
 
 
-def classify(shape: PGroupShape) -> PGroupClass:
+def classify(shape: PGroupShape) -> PGroupClassKind:
     """Match the shape against the patterns with closed-form ratios.
 
-    >>> str(classify(PGroupShape(3, (1, 2))))
-    'zp-times-higher(2)'
+    >>> classify(PGroupShape(3, (1, 2)))
+    <PGroupClassKind.ZP_TIMES_HIGHER: 'zp-times-higher'>
     """
     exps = shape.exponents
     if len(exps) == 1:
-        return PGroupClass(PGroupClassKind.CYCLIC)
+        return PGroupClassKind.CYCLIC
     if exps == (1, 1):
-        return PGroupClass(PGroupClassKind.ELEMENTARY_RANK2)
+        return PGroupClassKind.ELEMENTARY_RANK2
     if len(exps) == 2 and exps[0] == 1:
-        return PGroupClass(PGroupClassKind.ZP_TIMES_HIGHER, higher_exponent=exps[1])
+        return PGroupClassKind.ZP_TIMES_HIGHER
     if exps == (1, 1, 1):
-        return PGroupClass(PGroupClassKind.ELEMENTARY_RANK3)
-    return PGroupClass(PGroupClassKind.GENERAL)
+        return PGroupClassKind.ELEMENTARY_RANK3
+    return PGroupClassKind.GENERAL
 
 
-def closed_form_ratio(
-    group_class: PGroupClass, p: int
-) -> Fraction | _DivisibleGuaranteeOnlyType:
-    """The exact ratio for the four closed-form classes.
+def closed_form_ratio(shape: PGroupShape) -> Fraction | None:
+    """The exact ratio for the four closed-form classes, else None.
 
     Cyclic groups give (p-1)/p; Z_p x Z_p gives (p-1)^2 (p+1) / p;
     Z_p x Z_{p^i} with i > 1 gives (p-1)^2 regardless of i; and
     Z_p x Z_p x Z_p gives (p-1)^3 (p+1) (p^2+p+1).  For the general
     class there is no closed form, only the guarantee that the ratio is
-    an integer divisible by p(p-1)^2, so the marker
-    :data:`DivisibleGuaranteeOnly` comes back instead.
+    an integer divisible by p(p-1)^2, so None comes back.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    kind = group_class.kind
+    p = shape.p
+    kind = classify(shape)
     if kind is PGroupClassKind.CYCLIC:
         return Fraction(p - 1, p)
     if kind is PGroupClassKind.ELEMENTARY_RANK2:
@@ -312,4 +270,4 @@ def closed_form_ratio(
         return Fraction((p - 1) ** 2)
     if kind is PGroupClassKind.ELEMENTARY_RANK3:
         return Fraction((p - 1) ** 3 * (p + 1) * (p * p + p + 1))
-    return DivisibleGuaranteeOnly
+    return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator
 
-from .arith import factorize, factorizations_up_to, primes_up_to
+from .arith import factorize, factorizations_up_to, is_positive_int, primes_up_to
 from .core import GroupShape, PGroupShape, aut_order_p
 
 
@@ -92,8 +92,8 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
 def _sweep(max_order: int, step: int = 1) -> Iterator[tuple[int, list]]:
     """(order, :func:`_groups` of it) for order = step, 2step, ... <= max_order,
     factored off one sieve: the stream the atlas, enumerate and search read."""
-    if max_order < 1 or step < 1:
-        raise ValueError(f"need max_order, step >= 1, got {max_order!r}, {step!r}")
+    if not (is_positive_int(max_order) and is_positive_int(step)):
+        raise ValueError(f"need integers max_order, step >= 1, got {max_order!r}, {step!r}")
     orders = range(step, max_order + 1, step)
     return zip(orders, map(_groups, factorizations_up_to(max_order, step)))
 

@@ -52,6 +52,7 @@ from math import gcd
 from operator import add, mod
 from typing import Iterable, Sequence
 
+from .arith import is_positive_int
 from .core import PGroupShape
 
 # One residue per cyclic factor, coordinate i in [0, p^e_i).
@@ -65,8 +66,9 @@ class OracleBudget:
     max_candidate_tuples: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.max_candidate_tuples < 1:
-            raise ValueError("budget must be positive")
+        if not is_positive_int(self.max_candidate_tuples):
+            raise ValueError(
+                f"budget must be an integer >= 1, got {self.max_candidate_tuples!r}")
 
 
 class BudgetExceeded(RuntimeError):

@@ -23,24 +23,21 @@ from fractions import Fraction
 from math import gcd
 
 from . import enumeration
-from .arith import is_prime, is_squarefree
+from .arith import is_positive_int, is_prime, is_squarefree
 from .core import GroupShape
 
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Limits for one search: group order cap, optional wall-clock cap.
-
-    ``time_limit`` (seconds) applies to :func:`realize` only; the atlas
-    is exhaustive by contract.
-    """
+    """Limits for one :func:`realize`: group order cap, optional wall-clock
+    cap in seconds."""
 
     max_order: int = 10**4
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
+        if not is_positive_int(self.max_order):
+            raise ValueError(f"max_order must be an integer >= 1, got {self.max_order!r}")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
 
@@ -137,7 +134,7 @@ def realize(
     return NotFoundWithinBounds(max_order_searched=bounds.max_order)
 
 
-def ratio_atlas(bounds: SearchBounds = SearchBounds()) -> dict[Fraction, Witness]:
+def ratio_atlas(max_order: int = SearchBounds.max_order) -> dict[Fraction, Witness]:
     """Every ratio achieved up to max_order, with its first witness.
 
     Keys appear in discovery order (witness order ascending), so the
@@ -147,8 +144,9 @@ def ratio_atlas(bounds: SearchBounds = SearchBounds()) -> dict[Fraction, Witness
     """
     atlas: dict[Fraction, Witness] = {}
     seen: set[int] = set()
-    radix = bounds.max_order + 1
-    for order, groups in enumeration._sweep(bounds.max_order):
+    sweep = enumeration._sweep(max_order)  # refuses a bad max_order first
+    radix = max_order + 1
+    for order, groups in sweep:
         for blocks, aut in groups:
             g = gcd(aut, order)
             key = aut // g * radix + order // g

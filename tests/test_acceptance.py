@@ -14,7 +14,6 @@ import pytest
 from abelianaut import (
     GroupShape,
     OracleBudget,
-    PGroupClass,
     PGroupClassKind,
     PGroupShape,
     SearchBounds,
@@ -58,7 +57,7 @@ def test_criterion_1_formula_equals_oracle():
     required = {(2, (1, 2)), (2, (2, 3)), (2, (1, 1, 2)), (3, (1, 2))}
     covered = {(s.p, s.exponents) for s in shapes}
     assert required <= covered
-    kinds = {classify(s).kind for s in shapes}
+    kinds = {classify(s) for s in shapes}
     assert kinds == set(PGroupClassKind)
 
     mismatches = []
@@ -92,20 +91,19 @@ def test_criterion_3_closed_forms_and_divisibility():
     """Closed forms for p <= 97, exponents <= 6; divisibility for General."""
     failures = []
     for p in primes_up_to(97):
-        cases: list[tuple[tuple[int, ...], PGroupClass]] = []
+        cases: list[tuple[tuple[int, ...], PGroupClassKind]] = []
         for e in range(1, 7):
-            cases.append(((e,), PGroupClass(PGroupClassKind.CYCLIC)))
-        cases.append(((1, 1), PGroupClass(PGroupClassKind.ELEMENTARY_RANK2)))
+            cases.append(((e,), PGroupClassKind.CYCLIC))
+        cases.append(((1, 1), PGroupClassKind.ELEMENTARY_RANK2))
         for i in range(2, 7):
-            cases.append(
-                ((1, i), PGroupClass(PGroupClassKind.ZP_TIMES_HIGHER, i)))
-        cases.append(((1, 1, 1), PGroupClass(PGroupClassKind.ELEMENTARY_RANK3)))
-        for exps, expected_class in cases:
+            cases.append(((1, i), PGroupClassKind.ZP_TIMES_HIGHER))
+        cases.append(((1, 1, 1), PGroupClassKind.ELEMENTARY_RANK3))
+        for exps, expected_kind in cases:
             shape = PGroupShape(p, exps)
-            if classify(shape) != expected_class:
+            if classify(shape) is not expected_kind:
                 failures.append(("class", shape))
                 continue
-            want = closed_form_ratio(expected_class, p)
+            want = closed_form_ratio(shape)
             got = Fraction(aut_order_p(shape), shape.order)
             if got != want:
                 failures.append(("ratio", shape, got, want))
@@ -118,7 +116,7 @@ def test_criterion_3_closed_forms_and_divisibility():
         a = rng.randint(2, 10)
         exps = rng.choice(list(partitions(a)))
         shape = PGroupShape(p, exps)
-        if classify(shape).kind is not PGroupClassKind.GENERAL:
+        if classify(shape) is not PGroupClassKind.GENERAL:
             continue
         sampled += 1
         r = Fraction(aut_order_p(shape), shape.order)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import abelianaut
 from abelianaut import GroupShape, core
 from abelianaut.cli import ParseError, main, parse_group, parse_ratio_target
+from abelianaut.enumeration import pgroup_shapes_up_to
 
 
 # ------------------------------------------------------------ group parsing
@@ -121,6 +122,34 @@ def test_classify_csv(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "group,p,class"
     assert out[1] == "Z2 x Z4,2,zp-times-higher(2)"
+
+
+def _label_from_exponents(exps: tuple[int, ...]) -> str:
+    """The classify label, derived from the exponents alone."""
+    if len(exps) == 1:
+        return "cyclic"
+    if exps == (1, 1):
+        return "elementary-rank-2"
+    if len(exps) == 2 and exps[0] == 1:
+        return f"zp-times-higher({exps[1]})"
+    if exps == (1, 1, 1):
+        return "elementary-rank-3"
+    return "general"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_classify_row_is_the_label_of_the_exponents(fmt):
+    for shape in pgroup_shapes_up_to(4096):
+        group, label = str(shape), _label_from_exponents(shape.exponents)
+        want = {
+            "text": f"p={shape.p}: {label}\n",
+            "json": json.dumps({"group": group, "p": shape.p, "class": label}) + "\n",
+            "csv": f"group,p,class\n{group},{shape.p},{label}\n",
+        }[fmt]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["classify", group, "--format", fmt]) == 0
+        assert out.getvalue() == want, shape
 
 
 def test_valuation_text(capsys):

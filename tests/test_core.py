@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from abelianaut import (
-    DivisibleGuaranteeOnly,
     FactorizationOverflow,
     GroupShape,
     InvalidModulus,
-    PGroupClass,
     PGroupClassKind,
     PGroupShape,
     aut_order,
@@ -174,55 +172,48 @@ def test_valuation_matches_repeated_division():
 # -------------------------------------------------------- classification
 
 def test_classify_patterns():
-    assert classify(PGroupShape(7, (1, 1))).kind is PGroupClassKind.ELEMENTARY_RANK2
-    assert classify(PGroupShape(3, (1, 2))) == PGroupClass(
-        PGroupClassKind.ZP_TIMES_HIGHER, higher_exponent=2)
-    assert classify(PGroupShape(2, (2, 2))).kind is PGroupClassKind.GENERAL
-    assert classify(PGroupShape(5, (4,))).kind is PGroupClassKind.CYCLIC
-    assert classify(PGroupShape(2, (1, 1, 1))).kind is PGroupClassKind.ELEMENTARY_RANK3
-    assert classify(PGroupShape(2, (1, 3))) == PGroupClass(
-        PGroupClassKind.ZP_TIMES_HIGHER, higher_exponent=3)
-    assert classify(PGroupShape(2, (1, 1, 2))).kind is PGroupClassKind.GENERAL
+    assert classify(PGroupShape(7, (1, 1))) is PGroupClassKind.ELEMENTARY_RANK2
+    assert classify(PGroupShape(3, (1, 2))) is PGroupClassKind.ZP_TIMES_HIGHER
+    assert classify(PGroupShape(2, (2, 2))) is PGroupClassKind.GENERAL
+    assert classify(PGroupShape(5, (4,))) is PGroupClassKind.CYCLIC
+    assert classify(PGroupShape(2, (1, 1, 1))) is PGroupClassKind.ELEMENTARY_RANK3
+    assert classify(PGroupShape(2, (1, 3))) is PGroupClassKind.ZP_TIMES_HIGHER
+    assert classify(PGroupShape(2, (1, 1, 2))) is PGroupClassKind.GENERAL
 
 
 def test_classify_exactly_one_tag_per_shape():
     for shape in pgroup_shapes_up_to(512):
-        cls = classify(shape)  # constructor enforces kind/parameter pairing
-        assert isinstance(cls, PGroupClass)
+        assert isinstance(classify(shape), PGroupClassKind)
 
 
 def test_closed_form_ratio_values():
-    assert closed_form_ratio(PGroupClass(PGroupClassKind.CYCLIC), 5) == Fraction(4, 5)
-    assert closed_form_ratio(
-        PGroupClass(PGroupClassKind.ELEMENTARY_RANK3), 2) == Fraction(21)
-    assert closed_form_ratio(
-        PGroupClass(PGroupClassKind.ELEMENTARY_RANK2), 2) == Fraction(3, 2)
-    assert closed_form_ratio(
-        PGroupClass(PGroupClassKind.ZP_TIMES_HIGHER, 3), 3) == Fraction(4)
-    marker = closed_form_ratio(PGroupClass(PGroupClassKind.GENERAL), 2)
-    assert marker is DivisibleGuaranteeOnly
-
-
-def test_closed_form_ratio_rejects_composite_p():
-    with pytest.raises(ValueError):
-        closed_form_ratio(PGroupClass(PGroupClassKind.CYCLIC), 6)
+    assert closed_form_ratio(PGroupShape(5, (1,))) == Fraction(4, 5)
+    assert closed_form_ratio(PGroupShape(2, (1, 1, 1))) == Fraction(21)
+    assert closed_form_ratio(PGroupShape(2, (1, 1))) == Fraction(3, 2)
+    assert closed_form_ratio(PGroupShape(3, (1, 3))) == Fraction(4)
+    assert closed_form_ratio(PGroupShape(2, (2, 2))) is None
 
 
 def test_closed_forms_match_general_formula_small():
     for p in (2, 3, 5, 7):
         for exps in [(1,), (4,), (1, 1), (1, 2), (1, 4), (1, 1, 1)]:
             shape = PGroupShape(p, exps)
-            cls = classify(shape)
-            expected = closed_form_ratio(cls, p)
-            assert expected is not DivisibleGuaranteeOnly
+            expected = closed_form_ratio(shape)
+            assert expected is not None
             assert ratio(GroupShape((shape,))) == expected, shape
+    for shape in pgroup_shapes_up_to(4096):
+        expected = closed_form_ratio(shape)
+        if classify(shape) is PGroupClassKind.GENERAL:
+            assert expected is None, shape
+        else:
+            assert expected == Fraction(aut_order_p(shape), shape.order), shape
 
 
 def test_general_class_divisibility_small():
     for p in (2, 3, 5):
         for exps in [(2, 2), (1, 1, 2), (2, 3), (1, 1, 1, 1), (1, 2, 2)]:
             shape = PGroupShape(p, exps)
-            assert classify(shape).kind is PGroupClassKind.GENERAL
+            assert classify(shape) is PGroupClassKind.GENERAL
             r = ratio(GroupShape((shape,)))
             assert r.denominator == 1
             assert r.numerator % (p * (p - 1) ** 2) == 0, shape

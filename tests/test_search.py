@@ -6,10 +6,12 @@ from abelianaut import (
     GroupShape,
     PGroupShape,
     NotFoundWithinBounds,
+    OracleBudget,
     SearchBounds,
     Unrealizable,
     UnrealizableReason,
     Witness,
+    groups_up_to,
     ratio,
     ratio_atlas,
     realize,
@@ -124,10 +126,24 @@ def test_search_bounds_validation():
     assert SearchBounds(max_order=10, time_limit=float("inf")).time_limit == float("inf")
 
 
+@pytest.mark.parametrize("bad", [0, -3, True, 2.5, 4.0, "4"])
+@pytest.mark.parametrize("entry", [
+    lambda v: SearchBounds(max_order=v),
+    lambda v: OracleBudget(v),
+    lambda v: list(groups_up_to(v)),
+    lambda v: list(groups_up_to(4, v)),
+    lambda v: ratio_atlas(v),
+], ids=["search-max-order", "oracle-budget", "sweep-max-order", "sweep-step", "atlas"])
+def test_bounds_take_only_integers_from_1(entry, bad):
+    # a bool is an int to Python, but True as a bound is a caller's mistake
+    with pytest.raises(ValueError):
+        entry(bad)
+
+
 # ------------------------------------------------------------------- atlas
 
 def test_atlas_max_order_4():
-    atlas = ratio_atlas(SearchBounds(max_order=4))
+    atlas = ratio_atlas(4)
     assert atlas == {
         Fraction(1): Witness(GroupShape(), 1),
         Fraction(1, 2): Witness(GroupShape.from_exponents({2: [1]}), 2),
@@ -137,7 +153,7 @@ def test_atlas_max_order_4():
 
 
 def test_atlas_max_order_1():
-    assert ratio_atlas(SearchBounds(max_order=1)) == {
+    assert ratio_atlas(1) == {
         Fraction(1): Witness(GroupShape(), 1)
     }
 
@@ -145,13 +161,13 @@ def test_atlas_max_order_1():
 def test_atlas_denominators_squarefree():
     from abelianaut import is_squarefree
 
-    for r in ratio_atlas(SearchBounds(max_order=200)):
+    for r in ratio_atlas(200):
         assert is_squarefree(r.denominator)
 
 
 def test_realize_atlas_consistency():
     bounds = SearchBounds(max_order=60)
-    atlas = ratio_atlas(bounds)
+    atlas = ratio_atlas(60)
     for target, witness in atlas.items():
         assert realize(target, bounds) == witness
     # a target outside the atlas (and past both screens) comes back NotFound
@@ -171,7 +187,7 @@ def test_realize_finds_every_atlas_witness_with_a_denominator():
 
 
 def test_atlas_equals_the_per_group_reference_in_order():
-    assert list(ratio_atlas(SearchBounds(3000)).items()) == list(
+    assert list(ratio_atlas(3000).items()) == list(
         reference_atlas(3000).items())
 
 
@@ -179,9 +195,9 @@ def test_block_table_keeps_no_patched_count(monkeypatch, capsys):
     enumeration._blocks.cache_clear()
     monkeypatch.setattr(core, "aut_order_p", lambda shape: 1)
     assert main(["verify", "--max-order", "4"]) == 3  # verify reads the patch
-    ratio_atlas(SearchBounds(16))
+    ratio_atlas(16)
     monkeypatch.undo()
-    assert list(ratio_atlas(SearchBounds(64)).items()) == list(
+    assert list(ratio_atlas(64).items()) == list(
         reference_atlas(64).items())
 
 
