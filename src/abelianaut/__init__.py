@@ -36,9 +36,7 @@ from .oracle import (
 from .search import (
     NotFoundWithinBounds,
     SearchBounds,
-    Unrealizable,
     UnrealizableReason,
-    Witness,
     ratio_atlas,
     realize,
     screen,
@@ -56,9 +54,7 @@ __all__ = [
     "PGroupClassKind",
     "PGroupShape",
     "SearchBounds",
-    "Unrealizable",
     "UnrealizableReason",
-    "Witness",
     "aut_order",
     "aut_order_p",
     "canonicalize",

@@ -30,7 +30,7 @@ from . import core, enumeration, oracle, search
 from .arith import FactorizationOverflow, InvalidModulus
 from .core import GroupShape, PGroupClassKind, PGroupShape
 from .oracle import BudgetExceeded, OracleBudget
-from .search import SearchBounds, Unrealizable, Witness
+from .search import SearchBounds, UnrealizableReason
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,10 +157,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if not shape.factors:
         print("trivial group: no primary components", file=sys.stderr)
         return EXIT_OK
-    rows = [
-        {"group": str(shape), "p": f.p, "class": _class_label(f)}
-        for f in shape.factors
-    ]
+    group = str(shape)
+    rows = [{"group": group, "p": f.p, "class": _class_label(f)} for f in shape.factors]
     _emit(rows, args.format, lambda r: f"p={r['p']}: {r['class']}")
     return EXIT_OK
 
@@ -199,19 +197,18 @@ def cmd_search(args: argparse.Namespace) -> int:
     target = parse_ratio_target(args.target)
     bounds = SearchBounds(max_order=args.max_order, time_limit=args.time_limit)
     verdict = search.realize(target, bounds)
-    if isinstance(verdict, Witness):
+    if isinstance(verdict, GroupShape):
         row = {
             "verdict": "witness",
-            "group": str(verdict.group),
+            "group": str(verdict),
             "order": verdict.order,
             "ratio_num": target.numerator,
             "ratio_den": target.denominator,
         }
-        text = f"witness: {verdict.group} (order {verdict.order}), ratio {target}"
-    elif isinstance(verdict, Unrealizable):
-        reason = verdict.reason
-        row = {"verdict": "unrealizable", "reason": reason.value}
-        text = f"unrealizable ({reason.value}): {reason.explanation}"
+        text = f"witness: {row['group']} (order {row['order']}), ratio {target}"
+    elif isinstance(verdict, UnrealizableReason):
+        row = {"verdict": "unrealizable", "reason": verdict.value}
+        text = f"unrealizable ({verdict.value}): {verdict.explanation}"
     else:
         row = {"verdict": "not-found-within-bounds",
                "max_order_searched": verdict.max_order_searched}
@@ -227,10 +224,10 @@ def cmd_atlas(args: argparse.Namespace) -> int:
         {
             "ratio_num": r.numerator,
             "ratio_den": r.denominator,
-            "order": w.order,
-            "group": str(w.group),
+            "order": g.order,
+            "group": str(g),
         }
-        for r, w in atlas.items()
+        for r, g in atlas.items()
     )
     _emit(rows, args.format,
           lambda r: (f"{_ratio_str(r['ratio_num'], r['ratio_den'])}\t"

@@ -80,7 +80,8 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
     """Every abelian group of order exactly ``order``, one per iso class.
 
     Deterministic: primes ascending, one partition stream per prime, the
-    partition of the largest prime varying fastest (itertools.product).
+    partition of the largest prime varying fastest (folded prime by prime
+    in ``_groups``).
     Order 1 yields exactly the trivial group.
     """
     if order < 1:

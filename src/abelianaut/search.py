@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from numbers import Real
 
 from . import enumeration
 from .arith import is_positive_int, is_prime, is_squarefree
@@ -38,8 +39,9 @@ class SearchBounds:
     def __post_init__(self) -> None:
         if not is_positive_int(self.max_order):
             raise ValueError(f"max_order must be an integer >= 1, got {self.max_order!r}")
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise ValueError("time_limit must be nonnegative")
+        t = self.time_limit
+        if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t >= 0):
+            raise ValueError(f"time_limit must be a number of seconds >= 0, got {t!r}")
 
 
 class UnrealizableReason(Enum):
@@ -55,21 +57,6 @@ class UnrealizableReason(Enum):
         reason._value_ = value
         reason.explanation = explanation
         return reason
-
-
-@dataclass(frozen=True, slots=True)
-class Witness:
-    """A group realizing the target ratio exactly, with its order."""
-
-    group: GroupShape
-    order: int
-
-
-@dataclass(frozen=True)
-class Unrealizable:
-    """No group of any order realizes the target; the reason says why."""
-
-    reason: UnrealizableReason
 
 
 @dataclass(frozen=True)
@@ -104,14 +91,15 @@ def screen(target: Fraction | int) -> UnrealizableReason | None:
 
 def realize(
     target: Fraction | int, bounds: SearchBounds = SearchBounds()
-) -> Witness | Unrealizable | NotFoundWithinBounds:
+) -> GroupShape | UnrealizableReason | NotFoundWithinBounds:
     """Screen, then sweep the multiples of the target's denominator.
 
-    A group of order n has a ratio whose reduced denominator divides n,
-    so for a target a/b only the orders b, 2b, ... <= max_order are
+    A screened target returns the reason :func:`screen` gave.  A group of
+    order n has a ratio whose reduced denominator divides n, so for a
+    target a/b only the orders b, 2b, ... <= max_order are
     visited (the sweep under :func:`~abelianaut.enumeration.groups_up_to`,
     step b), and a group hits when |Aut(G)| * b == a * n.  The first hit,
-    the only group built as a GroupShape, is returned, so a Witness has
+    the only group built as a GroupShape, is returned, so the witness has
     minimal order (ties broken by enumeration order).  The optional time
     budget is checked before each group; run out on order n, it gives
     NotFoundWithinBounds(n - 1), since every order below n has been swept
@@ -120,7 +108,7 @@ def realize(
     target = _as_positive_fraction(target)
     reason = screen(target)
     if reason is not None:
-        return Unrealizable(reason)
+        return reason
     deadline = None
     if bounds.time_limit is not None:
         deadline = time.monotonic() + bounds.time_limit
@@ -130,11 +118,11 @@ def realize(
             if deadline is not None and time.monotonic() >= deadline:
                 return NotFoundWithinBounds(max_order_searched=order - 1)
             if aut * b == a * order:
-                return Witness(group=GroupShape(blocks), order=order)
+                return GroupShape(blocks)
     return NotFoundWithinBounds(max_order_searched=bounds.max_order)
 
 
-def ratio_atlas(max_order: int = SearchBounds.max_order) -> dict[Fraction, Witness]:
+def ratio_atlas(max_order: int = SearchBounds.max_order) -> dict[Fraction, GroupShape]:
     """Every ratio achieved up to max_order, with its first witness.
 
     Keys appear in discovery order (witness order ascending), so the
@@ -142,7 +130,7 @@ def ratio_atlas(max_order: int = SearchBounds.max_order) -> dict[Fraction, Witne
     for its key.  Ratios are deduped as num * (max_order + 1) + den, one
     int per reduced pair (den <= max_order), before any Fraction is built.
     """
-    atlas: dict[Fraction, Witness] = {}
+    atlas: dict[Fraction, GroupShape] = {}
     seen: set[int] = set()
     sweep = enumeration._sweep(max_order)  # refuses a bad max_order first
     radix = max_order + 1
@@ -152,5 +140,5 @@ def ratio_atlas(max_order: int = SearchBounds.max_order) -> dict[Fraction, Witne
             key = aut // g * radix + order // g
             if key not in seen:
                 seen.add(key)
-                atlas[Fraction(aut, order)] = Witness(GroupShape(blocks), order)
+                atlas[Fraction(aut, order)] = GroupShape(blocks)
     return atlas

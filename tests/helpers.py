@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from abelianaut import PGroupShape, Witness, aut_order_p, groups_of_order
+from abelianaut import GroupShape, PGroupShape, aut_order_p, groups_of_order
 
 
 @lru_cache(maxsize=None)
@@ -86,11 +86,11 @@ def naive_automorphism_count(shape: PGroupShape) -> int:
     return count
 
 
-def reference_atlas(max_order: int) -> dict[Fraction, Witness]:
+def reference_atlas(max_order: int) -> dict[Fraction, GroupShape]:
     """Ratio -> first witness, one order and one group at a time."""
-    atlas: dict[Fraction, Witness] = {}
+    atlas: dict[Fraction, GroupShape] = {}
     for order in range(1, max_order + 1):
         for group in groups_of_order(order):
             r = Fraction(prod(aut_order_p(f) for f in group.factors), order)
-            atlas.setdefault(r, Witness(group, order))
+            atlas.setdefault(r, group)
     return atlas

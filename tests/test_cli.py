@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -139,17 +141,27 @@ def _label_from_exponents(exps: tuple[int, ...]) -> str:
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_classify_row_is_the_label_of_the_exponents(fmt):
+    # One call per k classifies the group made of the k-th shape of every
+    # prime, so every p-group shape of order <= 4096 is one row somewhere.
+    by_prime: dict[int, list] = {}
     for shape in pgroup_shapes_up_to(4096):
-        group, label = str(shape), _label_from_exponents(shape.exponents)
+        by_prime.setdefault(shape.p, []).append(shape)
+    assert sum(map(len, by_prime.values())) == 938
+    for k in range(len(by_prime[2])):
+        blocks = tuple(shapes[k] for shapes in by_prime.values() if k < len(shapes))
+        group = str(GroupShape(blocks))
+        rows = [(b.p, _label_from_exponents(b.exponents)) for b in blocks]
         want = {
-            "text": f"p={shape.p}: {label}\n",
-            "json": json.dumps({"group": group, "p": shape.p, "class": label}) + "\n",
-            "csv": f"group,p,class\n{group},{shape.p},{label}\n",
+            "text": "".join(f"p={p}: {label}\n" for p, label in rows),
+            "json": "".join(json.dumps({"group": group, "p": p, "class": label}) + "\n"
+                            for p, label in rows),
+            "csv": "group,p,class\n" + "".join(f"{group},{p},{label}\n"
+                                               for p, label in rows),
         }[fmt]
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["classify", group, "--format", fmt]) == 0
-        assert out.getvalue() == want, shape
+        assert out.getvalue() == want, group
 
 
 def test_valuation_text(capsys):
@@ -404,3 +416,27 @@ def test_package_imports_with_the_standard_library_alone():
         [sys.executable, "-S", "-c", "import abelianaut.cli, abelianaut.oracle"],
         capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+# ------------------------------------------------------------ README examples
+
+def _readme_cli_examples() -> list[tuple[str, str]]:
+    """(command, comment) for each ``abelianaut ...`` line of the README's sh blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.splitlines():
+            if line.startswith("abelianaut "):
+                command, _, comment = line.partition("#")
+                examples.append((command.strip(), comment.strip()))
+    return examples
+
+
+@pytest.mark.parametrize("command,comment", _readme_cli_examples())
+def test_readme_cli_example(capsys, command, comment):
+    assert main(shlex.split(command)[1:]) == 0
+    assert " / ".join(capsys.readouterr().out.splitlines()).startswith(comment)
+
+
+def test_readme_shows_nine_cli_examples():
+    assert len(_readme_cli_examples()) == 9

@@ -8,9 +8,7 @@ from abelianaut import (
     NotFoundWithinBounds,
     OracleBudget,
     SearchBounds,
-    Unrealizable,
     UnrealizableReason,
-    Witness,
     groups_up_to,
     ratio,
     ratio_atlas,
@@ -61,33 +59,32 @@ def test_every_unrealizable_reason_explains_itself():
 
 def test_realize_screened_targets_without_scanning():
     v = realize(Fraction(3), SearchBounds(max_order=1))
-    assert v == Unrealizable(UnrealizableReason.ODD_PRIME_TARGET)
+    assert v is UnrealizableReason.ODD_PRIME_TARGET
     v = realize(Fraction(1, 4), SearchBounds(max_order=1))
-    assert v == Unrealizable(UnrealizableReason.NON_SQUAREFREE_DENOMINATOR)
+    assert v is UnrealizableReason.NON_SQUAREFREE_DENOMINATOR
 
 
 def test_realize_known_witnesses():
     v = realize(Fraction(1, 2), SearchBounds(max_order=100))
-    assert v == Witness(GroupShape.from_exponents({2: [1]}), 2)
+    assert v == GroupShape.from_exponents({2: [1]})
 
     v = realize(Fraction(3, 2), SearchBounds(max_order=100))
-    assert v == Witness(GroupShape.from_exponents({2: [1, 1]}), 4)
+    assert v == GroupShape.from_exponents({2: [1, 1]})
 
     v = realize(Fraction(1), SearchBounds(max_order=10))
-    assert v == Witness(GroupShape(), 1)
+    assert v == GroupShape()
 
     v = realize(Fraction(2), SearchBounds(max_order=54))
-    assert isinstance(v, Witness)
-    assert ratio(v.group) == Fraction(2)
+    assert isinstance(v, GroupShape)
+    assert ratio(v) == Fraction(2)
     assert v.order <= 54
 
 
 def test_realize_witness_ratio_exact():
     for target in (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(8)):
         v = realize(target, SearchBounds(max_order=300))
-        assert isinstance(v, Witness)
-        assert ratio(v.group) == target
-        assert v.group.order == v.order
+        assert isinstance(v, GroupShape)
+        assert ratio(v) == target
 
 
 def test_realize_not_found_within_bounds():
@@ -123,7 +120,12 @@ def test_search_bounds_validation():
         SearchBounds(max_order=10, time_limit=-1.0)
     with pytest.raises(ValueError):
         SearchBounds(max_order=10, time_limit=float("nan"))  # a deadline never reached
-    assert SearchBounds(max_order=10, time_limit=float("inf")).time_limit == float("inf")
+    # a bool is a number to Python, but True as one second is a caller's mistake
+    for bad in (True, False, "5", [1], 1j):
+        with pytest.raises(ValueError):
+            SearchBounds(max_order=10, time_limit=bad)
+    for good in (0, 0.5, 3, Fraction(1, 3), float("inf")):
+        assert SearchBounds(max_order=10, time_limit=good).time_limit == good
 
 
 @pytest.mark.parametrize("bad", [0, -3, True, 2.5, 4.0, "4"])
@@ -145,17 +147,15 @@ def test_bounds_take_only_integers_from_1(entry, bad):
 def test_atlas_max_order_4():
     atlas = ratio_atlas(4)
     assert atlas == {
-        Fraction(1): Witness(GroupShape(), 1),
-        Fraction(1, 2): Witness(GroupShape.from_exponents({2: [1]}), 2),
-        Fraction(2, 3): Witness(GroupShape.from_exponents({3: [1]}), 3),
-        Fraction(3, 2): Witness(GroupShape.from_exponents({2: [1, 1]}), 4),
+        Fraction(1): GroupShape(),
+        Fraction(1, 2): GroupShape.from_exponents({2: [1]}),
+        Fraction(2, 3): GroupShape.from_exponents({3: [1]}),
+        Fraction(3, 2): GroupShape.from_exponents({2: [1, 1]}),
     }
 
 
 def test_atlas_max_order_1():
-    assert ratio_atlas(1) == {
-        Fraction(1): Witness(GroupShape(), 1)
-    }
+    assert ratio_atlas(1) == {Fraction(1): GroupShape()}
 
 
 def test_atlas_denominators_squarefree():
@@ -202,8 +202,8 @@ def test_block_table_keeps_no_patched_count(monkeypatch, capsys):
 
 
 def test_shapes_and_witnesses_carry_no_instance_dict():
-    # The atlas holds one Witness and its shapes per ratio; slots keep
+    # The atlas holds one GroupShape and its blocks per ratio; slots keep
     # its peak memory down.
     block = PGroupShape(3, (1, 2))
-    for obj in (block, GroupShape((block,)), Witness(GroupShape((block,)), 27)):
+    for obj in (block, GroupShape((block,))):
         assert not hasattr(obj, "__dict__"), type(obj)
