@@ -28,14 +28,11 @@ from .core import (
 from .enumeration import groups_of_order, groups_up_to, partitions
 from .oracle import (
     BudgetExceeded,
-    OracleBudget,
     count_automorphisms,
-    element_order,
     subgroup_closure,
 )
 from .search import (
     NotFoundWithinBounds,
-    SearchBounds,
     UnrealizableReason,
     ratio_atlas,
     realize,
@@ -50,10 +47,8 @@ __all__ = [
     "GroupShape",
     "InvalidModulus",
     "NotFoundWithinBounds",
-    "OracleBudget",
     "PGroupClassKind",
     "PGroupShape",
-    "SearchBounds",
     "UnrealizableReason",
     "aut_order",
     "aut_order_p",
@@ -61,7 +56,6 @@ __all__ = [
     "classify",
     "closed_form_ratio",
     "count_automorphisms",
-    "element_order",
     "factorize",
     "groups_of_order",
     "groups_up_to",

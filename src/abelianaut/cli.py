@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Iterator
 from . import core, enumeration, oracle, search
 from .arith import FactorizationOverflow, InvalidModulus
 from .core import GroupShape, PGroupClassKind, PGroupShape
-from .oracle import BudgetExceeded, OracleBudget
-from .search import SearchBounds, UnrealizableReason
+from .oracle import BudgetExceeded
+from .search import UnrealizableReason
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,8 +195,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     target = parse_ratio_target(args.target)
-    bounds = SearchBounds(max_order=args.max_order, time_limit=args.time_limit)
-    verdict = search.realize(target, bounds)
+    verdict = search.realize(target, args.max_order, args.time_limit)
     if isinstance(verdict, GroupShape):
         row = {
             "verdict": "witness",
@@ -236,13 +235,12 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = OracleBudget(max_candidate_tuples=args.budget)
     checked = 0
     skipped = 0
     mismatches: list[tuple[PGroupShape, int, int]] = []
     for shape in enumeration.pgroup_shapes_up_to(args.max_order):
         try:
-            counted = oracle.count_automorphisms(shape, budget)
+            counted = oracle.count_automorphisms(shape, args.budget)
         except BudgetExceeded:
             skipped += 1
             continue
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="find a group with ratio exactly a/b, or prove there is none")
     p.add_argument("target", help="positive rational: 'a/b' or a bare integer")
     p.add_argument("--max-order", type=_positive_int, metavar="N",
-                   default=SearchBounds.max_order,
+                   default=search.DEFAULT_MAX_ORDER,
                    help="largest group order to sweep (default: %(default)s)")
     p.add_argument("--time-limit", type=_nonnegative_float, default=None,
                    metavar="SECONDS", help="optional wall-clock budget")
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", parents=[common],
                        help="map every achieved ratio to its smallest witness")
     p.add_argument("--max-order", type=_positive_int, metavar="N",
-                   default=SearchBounds.max_order,
+                   default=search.DEFAULT_MAX_ORDER,
                    help="largest group order to sweep (default: %(default)s)")
     p.set_defaults(handler=cmd_atlas)
 
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=_positive_int, default=64, metavar="N",
                    help="check every p-group shape of order <= N (default: 64)")
     p.add_argument("--budget", type=_positive_int, metavar="B",
-                   default=OracleBudget.max_candidate_tuples,
+                   default=oracle.DEFAULT_BUDGET,
                    help="max candidate tuples per shape (default: %(default)s)")
     p.set_defaults(handler=cmd_verify)
 

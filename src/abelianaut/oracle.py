@@ -46,7 +46,6 @@ between the two paths meaningful evidence.  The candidate space is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from operator import add, mod
@@ -58,17 +57,8 @@ from .core import PGroupShape
 # One residue per cyclic factor, coordinate i in [0, p^e_i).
 ElementVector = tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Cap on |G|^rank, the raw candidate-tuple count, for one call."""
-
-    max_candidate_tuples: int = 10**6
-
-    def __post_init__(self) -> None:
-        if not is_positive_int(self.max_candidate_tuples):
-            raise ValueError(
-                f"budget must be an integer >= 1, got {self.max_candidate_tuples!r}")
+# Default cap on |G|^rank, the candidate-tuple count, for one call.
+DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
@@ -89,27 +79,6 @@ def _check_vector(vector: Sequence[int], shape: PGroupShape) -> ElementVector:
         if not 0 <= c < m:
             raise ValueError(f"coordinate {c} out of range [0, {m})")
     return v
-
-
-def element_order(vector: Sequence[int], shape: PGroupShape) -> int:
-    """Least k >= 1 with k * vector = 0; always a power of p.
-
-    Coordinate-wise: a residue divisible by p^t but not p^(t+1) inside
-    Z_{p^e} needs p^(e-t) steps to die, and the order is the max over
-    coordinates (1 for the identity).
-    """
-    v = _check_vector(vector, shape)
-    p = shape.p
-    needed = 0
-    for c, e in zip(v, shape.exponents):
-        if c == 0:
-            continue
-        val = 0
-        while c % p == 0:
-            c //= p
-            val += 1
-        needed = max(needed, e - val)
-    return p**needed
 
 
 def _add(u: ElementVector, v: ElementVector, moduli: Sequence[int]) -> ElementVector:
@@ -148,22 +117,20 @@ def subgroup_closure(
     return len(closure)
 
 
-def count_automorphisms(
-    shape: PGroupShape, budget: OracleBudget | None = None
-) -> int:
+def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int:
     """|Aut(G)| by direct enumeration of generator-image tuples.
 
-    Raises :class:`BudgetExceeded` when |G|^rank exceeds the budget; the
-    caller is expected to skip the shape, not to approximate.
+    ``budget`` (an int >= 1) caps |G|^rank, the raw candidate-tuple count.
+    Raises :class:`BudgetExceeded` when |G|^rank exceeds it; the caller is
+    expected to skip the shape, not to approximate.
     """
-    if budget is None:
-        budget = OracleBudget()
+    if not is_positive_int(budget):
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     size = shape.order
     n = shape.rank
-    if size**n > budget.max_candidate_tuples:
+    if size**n > budget:
         raise BudgetExceeded(
-            f"|G|^rank = {size}^{n} exceeds the budget of "
-            f"{budget.max_candidate_tuples} candidate tuples"
+            f"|G|^rank = {size}^{n} exceeds the budget of {budget} candidate tuples"
         )
     moduli = _moduli(shape)
     # Slot i admits exactly the elements killed by m_i = p^e_i: those whose

@@ -21,27 +21,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from numbers import Real
+from numbers import Rational, Real
 
 from . import enumeration
 from .arith import is_positive_int, is_prime, is_squarefree
 from .core import GroupShape
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Limits for one :func:`realize`: group order cap, optional wall-clock
-    cap in seconds."""
-
-    max_order: int = 10**4
-    time_limit: float | None = None
-
-    def __post_init__(self) -> None:
-        if not is_positive_int(self.max_order):
-            raise ValueError(f"max_order must be an integer >= 1, got {self.max_order!r}")
-        t = self.time_limit
-        if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t >= 0):
-            raise ValueError(f"time_limit must be a number of seconds >= 0, got {t!r}")
+# Default cap on the group order swept by realize and ratio_atlas.
+DEFAULT_MAX_ORDER = 10**4
 
 
 class UnrealizableReason(Enum):
@@ -67,6 +55,8 @@ class NotFoundWithinBounds:
 
 
 def _as_positive_fraction(target: Fraction | int) -> Fraction:
+    if isinstance(target, bool) or not isinstance(target, Rational):
+        raise ValueError(f"target ratio must be a Fraction or an int, got {target!r}")
     target = Fraction(target)
     if target <= 0:
         raise ValueError(f"target ratio must be positive, got {target}")
@@ -77,7 +67,8 @@ def screen(target: Fraction | int) -> UnrealizableReason | None:
     """Decide unrealizability without searching, where provable.
 
     Returns the reason, or None when the screens say nothing (which does
-    NOT mean the target is realizable).
+    NOT mean the target is realizable).  The target is a positive int or
+    Fraction; a bool, a float or a string raises ValueError.
     """
     target = _as_positive_fraction(target)
     if target.denominator > 1 and not is_squarefree(target.denominator):
@@ -90,39 +81,46 @@ def screen(target: Fraction | int) -> UnrealizableReason | None:
 
 
 def realize(
-    target: Fraction | int, bounds: SearchBounds = SearchBounds()
+    target: Fraction | int,
+    max_order: int = DEFAULT_MAX_ORDER,
+    time_limit: float | None = None,
 ) -> GroupShape | UnrealizableReason | NotFoundWithinBounds:
     """Screen, then sweep the multiples of the target's denominator.
 
-    A screened target returns the reason :func:`screen` gave.  A group of
-    order n has a ratio whose reduced denominator divides n, so for a
-    target a/b only the orders b, 2b, ... <= max_order are
-    visited (the sweep under :func:`~abelianaut.enumeration.groups_up_to`,
-    step b), and a group hits when |Aut(G)| * b == a * n.  The first hit,
-    the only group built as a GroupShape, is returned, so the witness has
-    minimal order (ties broken by enumeration order).  The optional time
-    budget is checked before each group; run out on order n, it gives
-    NotFoundWithinBounds(n - 1), since every order below n has been swept
-    or ruled out by divisibility.
+    ``max_order`` (an int >= 1) caps the group order swept, and
+    ``time_limit`` (None, or a number of seconds >= 0) caps the wall-clock
+    time; both are checked before the target is screened.  A screened
+    target returns the reason :func:`screen` gave.  A group of order n has
+    a ratio whose reduced denominator divides n, so for a target a/b only
+    the orders b, 2b, ... <= max_order are visited (the sweep under
+    :func:`~abelianaut.enumeration.groups_up_to`, step b), and a group hits
+    when |Aut(G)| * b == a * n.  The first hit, the only group built as a
+    GroupShape, is returned, so the witness has minimal order (ties broken
+    by enumeration order).  The time limit is checked before each group;
+    run out on order n, it gives NotFoundWithinBounds(n - 1), since every
+    order below n has been swept or ruled out by divisibility.
     """
+    if not is_positive_int(max_order):
+        raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
+    t = time_limit
+    if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t >= 0):
+        raise ValueError(f"time_limit must be a number of seconds >= 0, got {t!r}")
     target = _as_positive_fraction(target)
     reason = screen(target)
     if reason is not None:
         return reason
-    deadline = None
-    if bounds.time_limit is not None:
-        deadline = time.monotonic() + bounds.time_limit
+    deadline = None if t is None else time.monotonic() + t
     a, b = target.numerator, target.denominator
-    for order, groups in enumeration._sweep(bounds.max_order, b):
+    for order, groups in enumeration._sweep(max_order, b):
         for blocks, aut in groups:
             if deadline is not None and time.monotonic() >= deadline:
                 return NotFoundWithinBounds(max_order_searched=order - 1)
             if aut * b == a * order:
                 return GroupShape(blocks)
-    return NotFoundWithinBounds(max_order_searched=bounds.max_order)
+    return NotFoundWithinBounds(max_order_searched=max_order)
 
 
-def ratio_atlas(max_order: int = SearchBounds.max_order) -> dict[Fraction, GroupShape]:
+def ratio_atlas(max_order: int = DEFAULT_MAX_ORDER) -> dict[Fraction, GroupShape]:
     """Every ratio achieved up to max_order, with its first witness.
 
     Keys appear in discovery order (witness order ascending), so the

@@ -14,10 +14,8 @@ import pytest
 from abelianaut import (
     BudgetExceeded,
     GroupShape,
-    OracleBudget,
     PGroupClassKind,
     PGroupShape,
-    SearchBounds,
     UnrealizableReason,
     aut_order_p,
     classify,
@@ -51,11 +49,10 @@ def ratios_up_to_5000():
 def test_criterion_1_formula_equals_oracle():
     """Formula vs brute force on every shape with |G| <= 64 that the
     oracle's default budget admits."""
-    budget = OracleBudget()
     checked, skipped, mismatches = [], 0, []
     for s in pgroup_shapes_up_to(64):
         try:
-            counted = count_automorphisms(s, budget)
+            counted = count_automorphisms(s)
         except BudgetExceeded:
             skipped += 1
             continue
@@ -182,15 +179,15 @@ def test_criterion_6_valuation_cross_check():
 def test_criterion_7_search_behaviors():
     """Screens fire without scanning; known witnesses come back exactly."""
     ok = True
-    v = realize(Fraction(3), SearchBounds(max_order=1))
+    v = realize(Fraction(3), max_order=1)
     ok &= v is UnrealizableReason.ODD_PRIME_TARGET
-    v = realize(Fraction(1, 4), SearchBounds(max_order=1))
+    v = realize(Fraction(1, 4), max_order=1)
     ok &= v is UnrealizableReason.NON_SQUAREFREE_DENOMINATOR
-    v = realize(Fraction(1, 2), SearchBounds(max_order=100))
+    v = realize(Fraction(1, 2), max_order=100)
     ok &= v == GroupShape.from_exponents({2: [1]})
-    v = realize(Fraction(2), SearchBounds(max_order=54))
+    v = realize(Fraction(2), max_order=54)
     ok &= isinstance(v, GroupShape) and ratio(v) == Fraction(2)
-    v = realize(Fraction(3, 2), SearchBounds(max_order=100))
+    v = realize(Fraction(3, 2), max_order=100)
     ok &= v == GroupShape.from_exponents({2: [1, 1]})
     _report(7, "search screens and witnesses", ok)
     assert ok

@@ -418,6 +418,23 @@ def test_package_imports_with_the_standard_library_alone():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_public_api_is_exactly_these_names():
+    expected = [
+        "BudgetExceeded", "FactorizationOverflow", "GroupShape", "InvalidModulus",
+        "NotFoundWithinBounds", "PGroupClassKind", "PGroupShape",
+        "UnrealizableReason", "aut_order", "aut_order_p", "canonicalize",
+        "classify", "closed_form_ratio", "count_automorphisms", "factorize",
+        "groups_of_order", "groups_up_to", "is_prime", "is_squarefree",
+        "p_valuation_of_aut", "partitions", "primes_up_to", "ratio",
+        "ratio_atlas", "realize", "screen", "subgroup_closure",
+    ]
+    assert len(expected) == 27
+    assert abelianaut.__all__ == sorted(set(abelianaut.__all__))
+    assert abelianaut.__all__ == expected
+    for name in expected:
+        assert getattr(abelianaut, name) is not None
+
+
 # ------------------------------------------------------------ README examples
 
 def _readme_cli_examples() -> list[tuple[str, str]]:

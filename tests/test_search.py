@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,8 @@ from abelianaut import (
     GroupShape,
     PGroupShape,
     NotFoundWithinBounds,
-    OracleBudget,
-    SearchBounds,
     UnrealizableReason,
+    count_automorphisms,
     groups_up_to,
     ratio,
     ratio_atlas,
@@ -58,23 +58,23 @@ def test_every_unrealizable_reason_explains_itself():
 # ----------------------------------------------------------------- realize
 
 def test_realize_screened_targets_without_scanning():
-    v = realize(Fraction(3), SearchBounds(max_order=1))
+    v = realize(Fraction(3), max_order=1)
     assert v is UnrealizableReason.ODD_PRIME_TARGET
-    v = realize(Fraction(1, 4), SearchBounds(max_order=1))
+    v = realize(Fraction(1, 4), max_order=1)
     assert v is UnrealizableReason.NON_SQUAREFREE_DENOMINATOR
 
 
 def test_realize_known_witnesses():
-    v = realize(Fraction(1, 2), SearchBounds(max_order=100))
+    v = realize(Fraction(1, 2), max_order=100)
     assert v == GroupShape.from_exponents({2: [1]})
 
-    v = realize(Fraction(3, 2), SearchBounds(max_order=100))
+    v = realize(Fraction(3, 2), max_order=100)
     assert v == GroupShape.from_exponents({2: [1, 1]})
 
-    v = realize(Fraction(1), SearchBounds(max_order=10))
+    v = realize(Fraction(1), max_order=10)
     assert v == GroupShape()
 
-    v = realize(Fraction(2), SearchBounds(max_order=54))
+    v = realize(Fraction(2), max_order=54)
     assert isinstance(v, GroupShape)
     assert ratio(v) == Fraction(2)
     assert v.order <= 54
@@ -82,25 +82,25 @@ def test_realize_known_witnesses():
 
 def test_realize_witness_ratio_exact():
     for target in (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(8)):
-        v = realize(target, SearchBounds(max_order=300))
+        v = realize(target, max_order=300)
         assert isinstance(v, GroupShape)
         assert ratio(v) == target
 
 
 def test_realize_not_found_within_bounds():
     # 9 passes both screens (odd, composite) but has no small witness
-    v = realize(Fraction(9), SearchBounds(max_order=30))
+    v = realize(Fraction(9), max_order=30)
     assert v == NotFoundWithinBounds(max_order_searched=30)
     # no multiple of the denominator 7 is within the bound: nothing to sweep
-    assert realize(Fraction(1, 7), SearchBounds(max_order=5)) == NotFoundWithinBounds(5)
+    assert realize(Fraction(1, 7), max_order=5) == NotFoundWithinBounds(5)
 
 
 def test_realize_time_budget_maps_to_not_found():
-    v = realize(Fraction(9), SearchBounds(max_order=10**4, time_limit=0.0))
+    v = realize(Fraction(9), max_order=10**4, time_limit=0.0)
     assert isinstance(v, NotFoundWithinBounds)
     assert v.max_order_searched == 0
     # 7/6 can only be realized at orders 6, 12, ...: orders 1..5 are covered
-    v = realize(Fraction(7, 6), SearchBounds(max_order=10**4, time_limit=0.0))
+    v = realize(Fraction(7, 6), max_order=10**4, time_limit=0.0)
     assert v == NotFoundWithinBounds(max_order_searched=5)
 
 
@@ -109,29 +109,31 @@ def test_realize_factors_the_sweep_off_the_sieve(monkeypatch):
         raise AssertionError(f"trial division of {n}")
 
     monkeypatch.setattr("abelianaut.enumeration.factorize", trial_division)
-    v = realize(Fraction(9), SearchBounds(max_order=10**4))
+    v = realize(Fraction(9), max_order=10**4)
     assert v == NotFoundWithinBounds(max_order_searched=10**4)
 
 
 def test_search_bounds_validation():
+    # 7 is a screened target: a bad bound is refused before screening
     with pytest.raises(ValueError):
-        SearchBounds(max_order=0)
+        realize(7, max_order=0)
     with pytest.raises(ValueError):
-        SearchBounds(max_order=10, time_limit=-1.0)
+        realize(7, max_order=10, time_limit=-1.0)
     with pytest.raises(ValueError):
-        SearchBounds(max_order=10, time_limit=float("nan"))  # a deadline never reached
+        realize(7, max_order=10, time_limit=float("nan"))  # a deadline never reached
     # a bool is a number to Python, but True as one second is a caller's mistake
     for bad in (True, False, "5", [1], 1j):
         with pytest.raises(ValueError):
-            SearchBounds(max_order=10, time_limit=bad)
+            realize(7, max_order=10, time_limit=bad)
     for good in (0, 0.5, 3, Fraction(1, 3), float("inf")):
-        assert SearchBounds(max_order=10, time_limit=good).time_limit == good
+        assert realize(7, max_order=10, time_limit=good) is (
+            UnrealizableReason.ODD_PRIME_TARGET)
 
 
 @pytest.mark.parametrize("bad", [0, -3, True, 2.5, 4.0, "4"])
 @pytest.mark.parametrize("entry", [
-    lambda v: SearchBounds(max_order=v),
-    lambda v: OracleBudget(v),
+    lambda v: realize(7, max_order=v),
+    lambda v: count_automorphisms(PGroupShape(2, (1,)), v),
     lambda v: list(groups_up_to(v)),
     lambda v: list(groups_up_to(4, v)),
     lambda v: ratio_atlas(v),
@@ -140,6 +142,16 @@ def test_bounds_take_only_integers_from_1(entry, bad):
     # a bool is an int to Python, but True as a bound is a caller's mistake
     with pytest.raises(ValueError):
         entry(bad)
+
+
+@pytest.mark.parametrize("target", [True, False, 0.5, 0.1, Decimal("0.5"), "3/2"],
+                         ids=repr)
+@pytest.mark.parametrize("entry", [screen, realize], ids=["screen", "realize"])
+def test_targets_must_be_rational(entry, target):
+    # a bool, a float, a Decimal or a string is not taken for a ratio, even
+    # one that a Fraction would convert exactly
+    with pytest.raises(ValueError):
+        entry(target)
 
 
 # ------------------------------------------------------------------- atlas
@@ -166,24 +178,22 @@ def test_atlas_denominators_squarefree():
 
 
 def test_realize_atlas_consistency():
-    bounds = SearchBounds(max_order=60)
     atlas = ratio_atlas(60)
     for target, witness in atlas.items():
-        assert realize(target, bounds) == witness
+        assert realize(target, max_order=60) == witness
     # a target outside the atlas (and past both screens) comes back NotFound
     absent = Fraction(7, 3)
     assert absent not in atlas
-    assert realize(absent, bounds) == NotFoundWithinBounds(max_order_searched=60)
+    assert realize(absent, max_order=60) == NotFoundWithinBounds(max_order_searched=60)
 
 
 def test_realize_finds_every_atlas_witness_with_a_denominator():
-    bounds = SearchBounds(max_order=1000)
     atlas = reference_atlas(1000)
     assert sum(t.denominator > 1 for t in atlas) == 1000
     # and the integer targets too, whose sweep steps through every order
     assert sum(t.denominator == 1 for t in atlas) == 157
     for target, witness in atlas.items():
-        assert realize(target, bounds) == witness
+        assert realize(target, max_order=1000) == witness
 
 
 def test_atlas_equals_the_per_group_reference_in_order():
