@@ -41,9 +41,13 @@ _STRONG_BASES_BOUND = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic primality test (strong pseudoprime test, fixed bases).
 
-    Exact for every n below psi_13 = 3317044064679887385961981; from
-    psi_13 on it raises :class:`FactorizationOverflow` instead of guessing.
+    ``n`` must be an int (a bool is not taken for one), else ValueError;
+    an int below 2 is not prime.  Exact for every n below psi_13 =
+    3317044064679887385961981; from psi_13 on it raises
+    :class:`FactorizationOverflow` instead of guessing.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"need an int, got {n!r}")
     if n < 2:
         return False
     if n >= _STRONG_BASES_BOUND:

@@ -38,6 +38,7 @@ EXIT_BOUND = 2
 EXIT_MISMATCH = 3
 
 _RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?$")
+_FACTOR_RE = re.compile(r"\s*([zZcC]?)\s*(\d*)\s*([xX*]?)")
 
 
 class ParseError(ValueError):
@@ -56,29 +57,18 @@ def parse_group(text: str) -> GroupShape:
     case-insensitive.  The result is canonicalized (CRT split, sorted).
     """
     moduli: list[int] = []
-    i = 0
-    n = len(text)
-    while True:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n or text[i] not in "zZcC":
-            raise ParseError("expected a factor like 'Z12' or 'C12'", i)
-        i += 1
-        while i < n and text[i].isspace():
-            i += 1
-        start = i
-        while i < n and text[i].isdecimal():
-            i += 1
-        if start == i:
-            raise ParseError("expected digits after the factor letter", i)
-        moduli.append(int(text[start:i]))
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        if text[i] not in "xX*":
-            raise ParseError(f"expected 'x' or '*' between factors, found {text[i]!r}", i)
-        i += 1
+    end, separator = 0, "x"
+    while separator:
+        m = _FACTOR_RE.match(text, end)
+        letter, digits, separator = m.groups()
+        if not letter:
+            raise ParseError("expected a factor like 'Z12' or 'C12'", m.start(1))
+        if not digits:
+            raise ParseError("expected digits after the factor letter", m.start(2))
+        moduli.append(int(digits))
+        end = m.end()
+    if end < len(text):
+        raise ParseError(f"expected 'x' or '*' between factors, found {text[end]!r}", end)
     return core.canonicalize(moduli)
 
 
@@ -293,6 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default: text)")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--max-order", type=_positive_int, metavar="N",
+                       default=search.DEFAULT_MAX_ORDER,
+                       help="largest group order to sweep (default: %(default)s)")
 
     parser = _Parser(
         prog="abelianaut",
@@ -330,21 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser(
-        "search", parents=[common],
+        "search", parents=[common, sweep],
         help="find a group with ratio exactly a/b, or prove there is none")
     p.add_argument("target", help="positive rational: 'a/b' or a bare integer")
-    p.add_argument("--max-order", type=_positive_int, metavar="N",
-                   default=search.DEFAULT_MAX_ORDER,
-                   help="largest group order to sweep (default: %(default)s)")
     p.add_argument("--time-limit", type=_nonnegative_float, default=None,
                    metavar="SECONDS", help="optional wall-clock budget")
     p.set_defaults(handler=cmd_search)
 
-    p = sub.add_parser("atlas", parents=[common],
+    p = sub.add_parser("atlas", parents=[common, sweep],
                        help="map every achieved ratio to its smallest witness")
-    p.add_argument("--max-order", type=_positive_int, metavar="N",
-                   default=search.DEFAULT_MAX_ORDER,
-                   help="largest group order to sweep (default: %(default)s)")
     p.set_defaults(handler=cmd_atlas)
 
     p = sub.add_parser(

@@ -163,9 +163,7 @@ def canonicalize(moduli: Iterable[int]) -> GroupShape:
             raise InvalidModulus(f"moduli must be integers >= 1, got {m!r}")
         for p, e in factorize(m).items():
             per_prime.setdefault(p, []).append(e)
-    return GroupShape(
-        tuple(PGroupShape(p, tuple(per_prime[p])) for p in sorted(per_prime))
-    )
+    return GroupShape.from_exponents(per_prime)
 
 
 def aut_order_p(shape: PGroupShape) -> int:

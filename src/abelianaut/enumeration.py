@@ -23,23 +23,22 @@ from .core import GroupShape, PGroupShape, aut_order_p
 def partitions(total: int) -> Iterator[tuple[int, ...]]:
     """Every partition of ``total``, each exactly once, parts ascending.
 
-    Emission order is descending lexicographic on the non-increasing
-    spelling, reversed to ascending storage: 4 gives (4,), (1, 3),
-    (2, 2), (1, 1, 2), (1, 1, 1, 1).
+    Emitted by largest part m, from ``total`` down to 1; within one m,
+    the partitions of ``total - m`` into parts <= m follow in the same
+    order: 4 gives (4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1).
     """
-    if total < 1:
-        raise ValueError(f"need a positive integer, got {total!r}")
-    for parts in _descending(total, total):
-        yield parts[::-1]
+    if not is_positive_int(total):
+        raise ValueError(f"need an integer >= 1, got {total!r}")
+    yield from _ascending(total, total)
 
 
-def _descending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _ascending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
     if remaining == 0:
         yield ()
         return
-    for head in range(min(remaining, cap), 0, -1):
-        for tail in _descending(remaining - head, head):
-            yield (head, *tail)
+    for top in range(min(remaining, cap), 0, -1):
+        for rest in _ascending(remaining - top, top):
+            yield (*rest, top)
 
 
 @cache
@@ -82,10 +81,10 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
     Deterministic: primes ascending, one partition stream per prime, the
     partition of the largest prime varying fastest (folded prime by prime
     in ``_groups``).
-    Order 1 yields exactly the trivial group.
+    Order 1 yields exactly the trivial group.  An ``order`` that is not an
+    int >= 1 raises :class:`~abelianaut.arith.InvalidModulus` (a ValueError)
+    from ``factorize``.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order!r}")
     for blocks, _ in _groups(factorize(order)):
         yield GroupShape(blocks)
 

@@ -71,12 +71,11 @@ def screen(target: Fraction | int) -> UnrealizableReason | None:
     Fraction; a bool, a float or a string raises ValueError.
     """
     target = _as_positive_fraction(target)
-    if target.denominator > 1 and not is_squarefree(target.denominator):
+    if not is_squarefree(target.denominator):
         return UnrealizableReason.NON_SQUAREFREE_DENOMINATOR
-    if target.denominator == 1:
-        a = target.numerator
-        if a % 2 == 1 and a > 2 and is_prime(a):
-            return UnrealizableReason.ODD_PRIME_TARGET
+    a = target.numerator
+    if target.denominator == 1 and a % 2 == 1 and is_prime(a):
+        return UnrealizableReason.ODD_PRIME_TARGET
     return None
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from abelianaut.arith import (
@@ -15,6 +17,14 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41}
     for n in range(-3, 42):
         assert is_prime(n) == (n in primes), n
+
+
+@pytest.mark.parametrize("n", [True, False, 3.0, 4.5, Fraction(7), "7"], ids=repr)
+def test_is_prime_takes_only_integers(n):
+    # a bool is an int to Python, and 3.0 and Fraction(7) equal ints, but
+    # none of them is taken for one
+    with pytest.raises(ValueError):
+        is_prime(n)
 
 
 def test_is_prime_matches_sieve_to_10000():

@@ -33,20 +33,44 @@ def test_parse_group_separators_case_whitespace():
     assert parse_group(" c2X Z4x C5 ") == expected
 
 
-def test_parse_group_errors_carry_position():
+_FACTOR = "expected a factor like 'Z12' or 'C12'"
+_DIGITS = "expected digits after the factor letter"
+
+
+def _separator(found: str) -> str:
+    return f"expected 'x' or '*' between factors, found {found!r}"
+
+
+_GRAMMAR = [  # text -> the (message, position) of its error, or its parsed shape
+    ("Q5", (_FACTOR, 0)),
+    ("", (_FACTOR, 0)),
+    (" ", (_FACTOR, 1)),
+    ("Z", (_DIGITS, 1)),
+    ("Zx2", (_DIGITS, 1)),
+    ("Z2x", (_FACTOR, 3)),
+    ("Z2xx", (_FACTOR, 3)),
+    ("Z2 x ", (_FACTOR, 5)),
+    ("Z 2 3", (_separator("3"), 4)),
+    ("Z12Z3", (_separator("Z"), 3)),
+    ("Z2,Z3", (_separator(","), 2)),
+    # whitespace and digits are Unicode's: str.isspace() and str.isdecimal()
+    ("Z2\u3000xZ3", "Z2 x Z3"),
+    ("Z\u0663", "Z3"),
+    ("\xa0c2\tX z\u0664\n", "Z2 x Z4"),
+    ("Z\uff12", "Z2"),
+]
+
+
+@pytest.mark.parametrize("text, expected", _GRAMMAR, ids=[repr(t) for t, _ in _GRAMMAR])
+def test_parse_group_errors_carry_position(text, expected):
+    if isinstance(expected, str):
+        assert str(parse_group(text)) == expected
+        return
+    message, position = expected
     with pytest.raises(ParseError) as err:
-        parse_group("Q5")
-    assert err.value.position == 0
-    with pytest.raises(ParseError) as err:
-        parse_group("Z2xx")
-    assert err.value.position == 3
-    with pytest.raises(ParseError) as err:
-        parse_group("Z2x")
-    assert err.value.position == 3
-    with pytest.raises(ParseError):
-        parse_group("")
-    with pytest.raises(ParseError):
-        parse_group("Z")
+        parse_group(text)
+    assert (str(err.value), err.value.position) == (
+        f"{message} (at position {position})", position)
 
 
 def test_parse_group_roundtrips_to_normal_form():

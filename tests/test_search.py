@@ -9,7 +9,9 @@ from abelianaut import (
     NotFoundWithinBounds,
     UnrealizableReason,
     count_automorphisms,
+    groups_of_order,
     groups_up_to,
+    partitions,
     ratio,
     ratio_atlas,
     realize,
@@ -137,7 +139,10 @@ def test_search_bounds_validation():
     lambda v: list(groups_up_to(v)),
     lambda v: list(groups_up_to(4, v)),
     lambda v: ratio_atlas(v),
-], ids=["search-max-order", "oracle-budget", "sweep-max-order", "sweep-step", "atlas"])
+    lambda v: list(groups_of_order(v)),
+    lambda v: list(partitions(v)),
+], ids=["search-max-order", "oracle-budget", "sweep-max-order", "sweep-step", "atlas",
+        "groups-of-order", "partitions"])
 def test_bounds_take_only_integers_from_1(entry, bad):
     # a bool is an int to Python, but True as a bound is a caller's mistake
     with pytest.raises(ValueError):
