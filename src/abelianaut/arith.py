@@ -112,7 +112,13 @@ def is_squarefree(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n: the k >= 2 with no smallest prime factor in the sieve."""
+    """All primes <= n: the k >= 2 with no smallest prime factor in the sieve.
+
+    ``n`` must be an int (a bool is not taken for one), else ValueError;
+    an int below 2 gives no primes.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"need an int, got {n!r}")
     if n < 2:
         return []  # also ends the recursion through _smallest_prime_factors
     spf = _smallest_prime_factors(n)

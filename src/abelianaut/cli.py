@@ -169,11 +169,10 @@ def cmd_valuation(args: argparse.Namespace) -> int:
 
 
 def _enumerate_rows(max_order: int) -> Iterator[dict]:
-    for order, groups in enumeration._sweep(max_order):
-        for blocks, aut in groups:
-            g = gcd(aut, order)
-            yield {"order": order, "group": str(GroupShape(blocks)), "aut_order": aut,
-                   "ratio_num": aut // g, "ratio_den": order // g}
+    for order, blocks, aut in enumeration._sweep(max_order):
+        g = gcd(aut, order)
+        yield {"order": order, "group": str(GroupShape(blocks)), "aut_order": aut,
+               "ratio_num": aut // g, "ratio_den": order // g}
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

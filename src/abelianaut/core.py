@@ -44,14 +44,14 @@ class PGroupShape:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = tuple(sorted(self.exponents))
+        exps = tuple(self.exponents)
         if not exps:
             raise ValueError("exponent partition must be nonempty")
         if not all(map(is_positive_int, exps)):
             raise ValueError(f"exponents must be positive integers, got {exps!r}")
         if not is_positive_int(self.p) or not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
-        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "exponents", tuple(sorted(exps)))
 
     @property
     def rank(self) -> int:
@@ -105,10 +105,6 @@ class GroupShape:
             if f.p == p:
                 return f
         return None
-
-    def moduli(self) -> list[int]:
-        """The expanded cyclic moduli, e.g. [2, 3, 9] for Z2 x Z3 x Z9."""
-        return [f.p ** e for f in self.factors for e in f.exponents]
 
     def __str__(self) -> str:
         if not self.factors:

@@ -14,10 +14,13 @@ builds a GroupShape only for the groups it hands out.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from typing import Iterator
 
 from .arith import factorize, factorizations_up_to, is_positive_int, primes_up_to
 from .core import GroupShape, PGroupShape, aut_order_p
+
+_Record = tuple[int, tuple[PGroupShape, ...], int]  # (order, blocks, |Aut|)
 
 
 def partitions(total: int) -> Iterator[tuple[int, ...]]:
@@ -54,8 +57,11 @@ def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
     """Every abelian p-group of order <= ``max_order``, each exactly once.
 
     Primes ascending, then the exponent a of |G| = p^a ascending, then
-    :func:`partitions` order within one p^a.
+    :func:`partitions` order within one p^a.  ``max_order`` must be an int
+    >= 1 (a bool is not taken for one), else ValueError.
     """
+    if not is_positive_int(max_order):
+        raise ValueError(f"need an integer >= 1, got {max_order!r}")
     for p in primes_up_to(max_order):
         a = 1
         while p**a <= max_order:
@@ -64,14 +70,14 @@ def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
             a += 1
 
 
-def _groups(factors: dict[int, int]) -> list[tuple[tuple[PGroupShape, ...], int]]:
-    """(blocks, |Aut|) per group of the order ``factors`` spells, in
+def _groups(order: int, factors: dict[int, int]) -> list[_Record]:
+    """(order, blocks, |Aut|) per group of the order ``factors`` spells, in
     :func:`groups_of_order` order, |Aut| folded prime by prime."""
-    groups = [((), 1)]
+    groups = [(order, (), 1)]
     for p, a in factors.items():
         table = _blocks(p, a)
-        groups = [(blocks + (shape,), aut * block_aut)
-                  for blocks, aut in groups for shape, block_aut in table]
+        groups = [(order, blocks + (shape,), aut * block_aut)
+                  for _, blocks, aut in groups for shape, block_aut in table]
     return groups
 
 
@@ -85,25 +91,26 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
     int >= 1 raises :class:`~abelianaut.arith.InvalidModulus` (a ValueError)
     from ``factorize``.
     """
-    for blocks, _ in _groups(factorize(order)):
+    for _, blocks, _ in _groups(order, factorize(order)):
         yield GroupShape(blocks)
 
 
-def _sweep(max_order: int, step: int = 1) -> Iterator[tuple[int, list]]:
-    """(order, :func:`_groups` of it) for order = step, 2step, ... <= max_order,
-    factored off one sieve: the stream the atlas, enumerate and search read."""
+def _sweep(max_order: int, step: int = 1) -> Iterator[_Record]:
+    """:func:`_groups` of order = step, 2step, ... <= max_order in one flat
+    stream, factored off one sieve: the records the atlas, enumerate and
+    search read.  The bounds are checked on the call, not on the first read."""
     if not (is_positive_int(max_order) and is_positive_int(step)):
-        raise ValueError(f"need integers max_order, step >= 1, got {max_order!r}, {step!r}")
+        raise ValueError(f"need integers max_order, step >= 1, "
+                         f"got max_order={max_order!r}, step={step!r}")
     orders = range(step, max_order + 1, step)
-    return zip(orders, map(_groups, factorizations_up_to(max_order, step)))
+    return chain.from_iterable(map(_groups, orders, factorizations_up_to(max_order, step)))
 
 
-def groups_up_to(max_order: int, step: int = 1) -> Iterator[tuple[int, GroupShape]]:
-    """(order, group) for each abelian group of order step, 2step, ... <= max_order.
+def groups_up_to(max_order: int) -> Iterator[tuple[int, GroupShape]]:
+    """(order, group) for each abelian group of order <= max_order.
 
-    Same stream as :func:`groups_of_order` over those orders, read off
-    the sieve-fed sweep that the atlas and the search read.
+    Same stream as :func:`groups_of_order` over orders 1, 2, ..., built
+    from the (order, blocks, |Aut|) records the atlas and the search read.
     """
-    for order, groups in _sweep(max_order, step):
-        for blocks, _ in groups:
-            yield order, GroupShape(blocks)
+    for order, blocks, _ in _sweep(max_order):
+        yield order, GroupShape(blocks)

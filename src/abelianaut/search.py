@@ -24,7 +24,7 @@ from math import gcd
 from numbers import Rational, Real
 
 from . import enumeration
-from .arith import is_positive_int, is_prime, is_squarefree
+from .arith import is_prime, is_squarefree
 from .core import GroupShape
 
 
@@ -91,31 +91,29 @@ def realize(
     time; both are checked before the target is screened.  A screened
     target returns the reason :func:`screen` gave.  A group of order n has
     a ratio whose reduced denominator divides n, so for a target a/b only
-    the orders b, 2b, ... <= max_order are visited (the sweep under
-    :func:`~abelianaut.enumeration.groups_up_to`, step b), and a group hits
-    when |Aut(G)| * b == a * n.  The first hit, the only group built as a
+    the orders b, 2b, ... <= max_order are visited (the enumeration's sweep
+    stepped by b, one (order, blocks, |Aut|) record per group), and a group
+    hits when |Aut(G)| * b == a * n.  The first hit, the only group built as a
     GroupShape, is returned, so the witness has minimal order (ties broken
     by enumeration order).  The time limit is checked before each group;
     run out on order n, it gives NotFoundWithinBounds(n - 1), since every
     order below n has been swept or ruled out by divisibility.
     """
-    if not is_positive_int(max_order):
-        raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
     t = time_limit
     if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t >= 0):
         raise ValueError(f"time_limit must be a number of seconds >= 0, got {t!r}")
     target = _as_positive_fraction(target)
+    a, b = target.numerator, target.denominator
+    sweep = enumeration._sweep(max_order, b)  # refuses a bad max_order first
     reason = screen(target)
     if reason is not None:
         return reason
     deadline = None if t is None else time.monotonic() + t
-    a, b = target.numerator, target.denominator
-    for order, groups in enumeration._sweep(max_order, b):
-        for blocks, aut in groups:
-            if deadline is not None and time.monotonic() >= deadline:
-                return NotFoundWithinBounds(max_order_searched=order - 1)
-            if aut * b == a * order:
-                return GroupShape(blocks)
+    for order, blocks, aut in sweep:
+        if deadline is not None and time.monotonic() >= deadline:
+            return NotFoundWithinBounds(max_order_searched=order - 1)
+        if aut * b == a * order:
+            return GroupShape(blocks)
     return NotFoundWithinBounds(max_order_searched=max_order)
 
 
@@ -131,11 +129,10 @@ def ratio_atlas(max_order: int = DEFAULT_MAX_ORDER) -> dict[Fraction, GroupShape
     seen: set[int] = set()
     sweep = enumeration._sweep(max_order)  # refuses a bad max_order first
     radix = max_order + 1
-    for order, groups in sweep:
-        for blocks, aut in groups:
-            g = gcd(aut, order)
-            key = aut // g * radix + order // g
-            if key not in seen:
-                seen.add(key)
-                atlas[Fraction(aut, order)] = GroupShape(blocks)
+    for order, blocks, aut in sweep:
+        g = gcd(aut, order)
+        key = aut // g * radix + order // g
+        if key not in seen:
+            seen.add(key)
+            atlas[Fraction(aut, order)] = GroupShape(blocks)
     return atlas

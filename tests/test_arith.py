@@ -86,6 +86,13 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+@pytest.mark.parametrize("n", [True, False, 2.5, 4.0, "5"], ids=repr)
+def test_primes_up_to_takes_only_integers(n):
+    # the rule of is_prime: any int, but no bool and no other number
+    with pytest.raises(ValueError):
+        primes_up_to(n)
+
+
 @pytest.mark.parametrize("step", [1, 2, 12, 30, 97, 2000, 2001])
 def test_stepped_sieve_factorizations_equal_trial_division(step):
     got = list(factorizations_up_to(2000, step))

@@ -150,6 +150,14 @@ def test_classify_csv(capsys):
     assert out[1] == "Z2 x Z4,2,zp-times-higher(2)"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_classify_trivial_group_has_no_rows(capsys, fmt):
+    assert main(["classify", "Z1", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "trivial group: no primary components\n"
+
+
 def _label_from_exponents(exps: tuple[int, ...]) -> str:
     """The classify label, derived from the exponents alone."""
     if len(exps) == 1:
@@ -408,6 +416,22 @@ def test_search_time_limit_nan_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "--time-limit: must be >= 0" in err
     assert main(["search", "3/2", "--time-limit", "inf"]) == 0  # inf: no limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-order", "0"],
+    ["atlas", "--max-order", "0"],
+    ["search", "3", "--max-order", "0"],
+    ["verify", "--max-order", "0"],
+    ["verify", "--budget", "0"],
+    ["valuation", "Z2", "-p", "0"],
+], ids=" ".join)
+def test_integer_options_refuse_values_below_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "must be >= 1" in err
 
 
 def test_unknown_subcommand_exit_code():

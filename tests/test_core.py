@@ -37,6 +37,11 @@ def test_pgroup_shape_validation():
         PGroupShape(2, ())
     with pytest.raises(ValueError):
         PGroupShape(2, (0, 1))
+    # checked before they are sorted, so no comparison fails first
+    with pytest.raises(ValueError, match="exponents must be positive integers"):
+        PGroupShape(2, (1, "a"))
+    with pytest.raises(ValueError, match="exponents must be positive integers"):
+        PGroupShape(2, (1, None))
 
 
 def test_pgroup_shape_properties():
@@ -52,12 +57,15 @@ def test_group_shape_sorts_and_rejects_duplicates():
     assert [f.p for f in g.factors] == [2, 5]
     with pytest.raises(ValueError):
         GroupShape((PGroupShape(2, (1,)), PGroupShape(2, (2,))))
+    for factors in [(1,), (PGroupShape(2, (1,)), "Z3")]:
+        with pytest.raises(TypeError, match="factors must be PGroupShape instances"):
+            GroupShape(factors)
 
 
 def test_group_shape_trivial():
     g = GroupShape()
     assert g.order == 1
-    assert g.moduli() == []
+    assert g.factors == ()
     assert str(g) == "Z1"
 
 
@@ -92,7 +100,7 @@ def test_canonicalize_errors():
 
 def test_canonicalize_idempotent_on_enumerated_groups():
     for _, g in groups_up_to(200):
-        assert canonicalize(g.moduli()) == g
+        assert canonicalize([f.p**e for f in g.factors for e in f.exponents]) == g
 
 
 # ------------------------------------------------------------ aut orders

@@ -10,6 +10,7 @@ from abelianaut import (
     groups_up_to,
     partitions,
 )
+from abelianaut import enumeration
 from abelianaut.arith import factorize, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
 from helpers import partition_count
@@ -101,14 +102,15 @@ def test_groups_up_to_counts():
 @pytest.mark.parametrize("max_order, step", sorted(
     {(m, step) for m in (1, 300) for step in (1, 2, 6, 7, 30, m, m + 1)}))
 def test_groups_up_to_step_keeps_the_multiples_of_step(max_order, step):
-    want = [(o, g) for o, g in groups_up_to(max_order) if o % step == 0]
-    assert list(groups_up_to(max_order, step)) == want
+    # the stepped sweep realize reads: the step-1 records of the multiples of step
+    want = [record for record in enumeration._sweep(max_order) if record[0] % step == 0]
+    assert list(enumeration._sweep(max_order, step)) == want
 
 
 @pytest.mark.parametrize("max_order, step", [(0, 1), (10, 0), (10, -3)])
 def test_groups_up_to_rejects_bounds_below_1(max_order, step):
-    with pytest.raises(ValueError):
-        list(groups_up_to(max_order, step))
+    with pytest.raises(ValueError):  # when called, before any record is read
+        enumeration._sweep(max_order, step)
 
 
 def test_stream_deterministic():

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from abelianaut import (
     count_automorphisms,
     subgroup_closure,
 )
+from abelianaut import oracle
 from helpers import bfs_closure, bfs_subgroup, naive_automorphism_count
 
 Z2xZ4 = PGroupShape(2, (1, 2))
@@ -140,3 +143,22 @@ def test_last_slot_completion_is_one_probe_at_q_over_p():
                 probe = q == 1 or tuple(c * j % m for c, m in zip(g, moduli)) not in h
                 assert generates == probe, (shape, gens, g)
     assert {1, 2, 3, 4, 5, 8, 9, 25} <= seen_q
+
+
+# ------------------------------------------------------------ independence
+
+def test_oracle_imports_no_formula():
+    # The oracle's agreement with aut_order_p is evidence only while it
+    # shares no logic with the formulas: from the package it takes the
+    # integer rule and the shape record, nothing else.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imports.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imports.update((alias.name, None) for alias in node.names)
+    package = {(module, name) for module, name in imports
+               if module.startswith((".", "abelianaut"))}
+    assert package == {(".arith", "is_positive_int"), (".core", "PGroupShape")}

@@ -137,12 +137,13 @@ def test_search_bounds_validation():
     lambda v: realize(7, max_order=v),
     lambda v: count_automorphisms(PGroupShape(2, (1,)), v),
     lambda v: list(groups_up_to(v)),
-    lambda v: list(groups_up_to(4, v)),
+    lambda v: list(enumeration._sweep(4, v)),
     lambda v: ratio_atlas(v),
     lambda v: list(groups_of_order(v)),
     lambda v: list(partitions(v)),
+    lambda v: list(enumeration.pgroup_shapes_up_to(v)),
 ], ids=["search-max-order", "oracle-budget", "sweep-max-order", "sweep-step", "atlas",
-        "groups-of-order", "partitions"])
+        "groups-of-order", "partitions", "pgroup-shapes"])
 def test_bounds_take_only_integers_from_1(entry, bad):
     # a bool is an int to Python, but True as a bound is a caller's mistake
     with pytest.raises(ValueError):
