@@ -26,11 +26,7 @@ from .core import (
     ratio,
 )
 from .enumeration import groups_of_order, groups_up_to, partitions
-from .oracle import (
-    BudgetExceeded,
-    count_automorphisms,
-    subgroup_closure,
-)
+from .oracle import BudgetExceeded, count_automorphisms
 from .search import (
     NotFoundWithinBounds,
     UnrealizableReason,
@@ -68,5 +64,4 @@ __all__ = [
     "ratio_atlas",
     "realize",
     "screen",
-    "subgroup_closure",
 ]

@@ -6,8 +6,9 @@ lines, or CSV via --format; every number printed is exact, either a
 decimal big integer or a reduced a/b.
 
 Exit codes: 0 success; 1 usage or parse error; 2 computational bound
-exceeded, which includes a verify that checks no shape at all (every
-shape over the budget, or no p-group of order <= N); 3 formula/oracle
+exceeded, which includes running out of memory and a verify that checks
+no shape at all (every shape over the budget, or no p-group of order
+<= N); 3 formula/oracle
 mismatch (verify only).  A reader that closes the output early
 (``abelianaut enumerate ... | head``) ends the run quietly with 0: every
 row it read was complete and exact.
@@ -37,7 +38,7 @@ EXIT_USAGE = 1
 EXIT_BOUND = 2
 EXIT_MISMATCH = 3
 
-_RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?$")
+_RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?")
 _FACTOR_RE = re.compile(r"\s*([zZcC]?)\s*(\d*)\s*([xX*]?)")
 
 
@@ -80,7 +81,7 @@ def parse_ratio_target(text: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     if den == 0:
-        raise ParseError("denominator must be nonzero", text.index("/") + 1)
+        raise ParseError("denominator must be nonzero", m.start(2))
     value = Fraction(num, den)
     if value <= 0:
         raise ParseError("target ratio must be positive", 0)
@@ -384,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (FactorizationOverflow, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BOUND
 
 

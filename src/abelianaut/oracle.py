@@ -49,7 +49,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 from operator import add, mod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .arith import is_positive_int
 from .core import PGroupShape
@@ -63,22 +63,6 @@ DEFAULT_BUDGET = 10**6
 
 class BudgetExceeded(RuntimeError):
     """The candidate space is too large; skip the shape, never estimate."""
-
-
-def _moduli(shape: PGroupShape) -> list[int]:
-    return [shape.p**e for e in shape.exponents]
-
-
-def _check_vector(vector: Sequence[int], shape: PGroupShape) -> ElementVector:
-    v = tuple(vector)
-    if len(v) != shape.rank:
-        raise ValueError(f"expected {shape.rank} coordinates, got {len(v)}")
-    for c, m in zip(v, _moduli(shape)):
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"coordinate {c!r} is not an integer")
-        if not 0 <= c < m:
-            raise ValueError(f"coordinate {c} out of range [0, {m})")
-    return v
 
 
 def _add(u: ElementVector, v: ElementVector, moduli: Sequence[int]) -> ElementVector:
@@ -106,17 +90,6 @@ def _extend(
     return out
 
 
-def subgroup_closure(
-    generators: Iterable[Sequence[int]], shape: PGroupShape
-) -> int:
-    """Order of the subgroup the given vectors generate ([] gives 1)."""
-    moduli = _moduli(shape)
-    closure = {(0,) * shape.rank}
-    for v in generators:
-        closure = _extend(closure, _check_vector(v, shape), moduli)
-    return len(closure)
-
-
 def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int:
     """|Aut(G)| by direct enumeration of generator-image tuples.
 
@@ -132,7 +105,7 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
         raise BudgetExceeded(
             f"|G|^rank = {size}^{n} exceeds the budget of {budget} candidate tuples"
         )
-    moduli = _moduli(shape)
+    moduli = [shape.p**e for e in shape.exponents]
     # Slot i admits exactly the elements killed by m_i = p^e_i: those whose
     # j-th coordinate is a multiple of m_j / gcd(m_j, m_i).
     slots = [list(product(*(range(0, m, m // gcd(m, mi)) for m in moduli)))

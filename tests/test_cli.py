@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abelianaut
-from abelianaut import GroupShape, core
+from abelianaut import GroupShape, core, enumeration
 from abelianaut.cli import ParseError, main, parse_group, parse_ratio_target
 from abelianaut.enumeration import pgroup_shapes_up_to
 
@@ -82,15 +83,40 @@ def test_parse_group_roundtrips_to_normal_form():
 
 # --------------------------------------------------------- rational parsing
 
-def test_parse_ratio_target():
-    from fractions import Fraction
+_RATIONAL = "expected a positive rational like '3' or '3/2'"
+_NONZERO = "denominator must be nonzero"
+_POSITIVE = "target ratio must be positive"
 
-    assert parse_ratio_target("3") == Fraction(3)
-    assert parse_ratio_target("3/2") == Fraction(3, 2)
-    assert parse_ratio_target("6/4") == Fraction(3, 2)
-    for bad in ("0", "-3", "3/0", "1.5", "a/b", ""):
-        with pytest.raises(ParseError):
-            parse_ratio_target(bad)
+_RATIOS = [  # text -> the (message, position) of its error, or its value
+    ("3", Fraction(3)),
+    ("3/2", Fraction(3, 2)),
+    ("6/4", Fraction(3, 2)),
+    (" 6 / 4 ", Fraction(3, 2)),
+    ("\u0663/\u0662", Fraction(3, 2)),
+    ("0", (_POSITIVE, 0)),
+    ("0/5", (_POSITIVE, 0)),
+    ("-3", (_RATIONAL, 0)),
+    ("1.5", (_RATIONAL, 0)),
+    ("a/b", (_RATIONAL, 0)),
+    ("", (_RATIONAL, 0)),
+    ("3/", (_RATIONAL, 0)),
+    # a zero denominator is placed at its digits
+    ("3/0", (_NONZERO, 2)),
+    ("3/ 0", (_NONZERO, 3)),
+    ("3 /  00", (_NONZERO, 5)),
+]
+
+
+@pytest.mark.parametrize("text, expected", _RATIOS, ids=[repr(t) for t, _ in _RATIOS])
+def test_parse_ratio_target(text, expected):
+    if isinstance(expected, Fraction):
+        assert parse_ratio_target(text) == expected
+        return
+    message, position = expected
+    with pytest.raises(ParseError) as err:
+        parse_ratio_target(text)
+    assert (str(err.value), err.value.position) == (
+        f"{message} (at position {position})", position)
 
 
 # ------------------------------------------------------------- subcommands
@@ -117,6 +143,17 @@ def test_aut_prints_counts_past_the_int_str_digit_limit(capsys):
         assert len(out) == 12_042
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no digit limit to lift")
+def test_main_runs_where_python_has_no_int_str_digit_limit(capsys, monkeypatch):
+    # Python before 3.10.7 has no set_int_max_str_digits.
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert main(["aut", "Z2xZ3xZ9"]) == 0
+    assert capsys.readouterr().out == "108\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_ratio_text_integer_and_fraction(capsys):
@@ -402,6 +439,14 @@ def test_factorization_overflow_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+    monkeypatch.setattr(enumeration, "primes_up_to", exhausted)
+    assert main(["verify", "--max-order", "64"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing required --max-order
@@ -474,9 +519,9 @@ def test_public_api_is_exactly_these_names():
         "classify", "closed_form_ratio", "count_automorphisms", "factorize",
         "groups_of_order", "groups_up_to", "is_prime", "is_squarefree",
         "p_valuation_of_aut", "partitions", "primes_up_to", "ratio",
-        "ratio_atlas", "realize", "screen", "subgroup_closure",
+        "ratio_atlas", "realize", "screen",
     ]
-    assert len(expected) == 27
+    assert len(expected) == 26
     assert abelianaut.__all__ == sorted(set(abelianaut.__all__))
     assert abelianaut.__all__ == expected
     for name in expected:

@@ -1,17 +1,10 @@
 import ast
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from abelianaut import (
-    BudgetExceeded,
-    PGroupShape,
-    aut_order_p,
-    count_automorphisms,
-    subgroup_closure,
-)
+from abelianaut import BudgetExceeded, PGroupShape, aut_order_p, count_automorphisms
 from abelianaut import oracle
 from helpers import bfs_closure, bfs_subgroup, naive_automorphism_count
 
@@ -26,23 +19,20 @@ def _all_vectors(shape):
 
 # ------------------------------------------------------- subgroup closure
 
-@pytest.mark.parametrize("vector", [(0.5, 0), (1.0, 0), (0, Fraction(1)),
-                                    (True, 0), (0, False), ("1", 0)])
-def test_non_integer_coordinates_are_rejected(vector):
-    with pytest.raises(ValueError):
-        subgroup_closure([(0, 1), vector], Z2xZ4)
-
-
-def test_subgroup_closure_rejects_bad_vectors():
-    for vector in [(0,), (2, 0), (0, -1)]:  # wrong length, out of range
-        with pytest.raises(ValueError):
-            subgroup_closure([vector], Z2xZ4)
+def _closure(generators, shape):
+    """The subgroup ``generators`` span, grown from {0} one generator at a
+    time by the closure step that ``count_automorphisms`` runs."""
+    moduli = [shape.p**e for e in shape.exponents]
+    subgroup = {(0,) * shape.rank}
+    for g in generators:
+        subgroup = oracle._extend(subgroup, g, moduli)
+    return subgroup
 
 
 def test_subgroup_closure_examples():
-    assert subgroup_closure([], Z2xZ4) == 1
-    assert subgroup_closure([(1, 0), (0, 1)], Z2xZ4) == 8
-    assert subgroup_closure([(0, 2)], Z2xZ4) == 2
+    assert len(_closure([], Z2xZ4)) == 1
+    assert len(_closure([(1, 0), (0, 1)], Z2xZ4)) == 8
+    assert len(_closure([(0, 2)], Z2xZ4)) == 2
 
 
 def test_subgroup_closure_lagrange():
@@ -53,7 +43,7 @@ def test_subgroup_closure_lagrange():
         vectors = _all_vectors(shape)
         for _ in range(25):
             gens = rng.sample(vectors, rng.randint(0, 3))
-            size = subgroup_closure(gens, shape)
+            size = len(_closure(gens, shape))
             assert shape.order % size == 0, (shape, gens, size)
 
 
@@ -65,13 +55,13 @@ def test_subgroup_closure_equals_breadth_first_closure():
         vectors = _all_vectors(shape)
         for _ in range(40):
             gens = [rng.choice(vectors) for _ in range(rng.randint(0, 4))]
-            assert subgroup_closure(gens, shape) == bfs_closure(gens, shape), (shape, gens)
+            assert _closure(gens, shape) == bfs_subgroup(gens, shape), (shape, gens)
 
 
 def test_subgroup_closure_single_generator_is_its_order():
     for shape in [Z2xZ4, PGroupShape(3, (1, 2))]:
         for v in _all_vectors(shape):
-            assert subgroup_closure([v], shape) == bfs_closure([v], shape)
+            assert len(_closure([v], shape)) == bfs_closure([v], shape)
 
 
 # --------------------------------------------------- automorphism counting
