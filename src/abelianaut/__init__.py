@@ -25,7 +25,7 @@ from .core import (
     p_valuation_of_aut,
     ratio,
 )
-from .enumeration import groups_of_order, groups_up_to, partitions
+from .enumeration import groups_of_order, partitions
 from .oracle import BudgetExceeded, count_automorphisms
 from .search import (
     NotFoundWithinBounds,
@@ -54,7 +54,6 @@ __all__ = [
     "count_automorphisms",
     "factorize",
     "groups_of_order",
-    "groups_up_to",
     "is_prime",
     "is_squarefree",
     "p_valuation_of_aut",

@@ -43,21 +43,22 @@ def is_prime(n: int) -> bool:
 
     ``n`` must be an int (a bool is not taken for one), else ValueError;
     an int below 2 is not prime.  Exact for every n below psi_13 =
-    3317044064679887385961981; from psi_13 on it raises
+    3317044064679887385961981 and for every n that a base prime (2 up to
+    41) divides; any other n from psi_13 on raises
     :class:`FactorizationOverflow` instead of guessing.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"need an int, got {n!r}")
     if n < 2:
         return False
+    for p in _STRONG_BASES:
+        if n % p == 0:
+            return n == p
     if n >= _STRONG_BASES_BOUND:
         raise FactorizationOverflow(
             f"{n} is not below {_STRONG_BASES_BOUND}, "
             "the bound of the deterministic primality test"
         )
-    for p in _STRONG_BASES:
-        if n % p == 0:
-            return n == p
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -265,14 +265,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer >= 1") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
 def _nonnegative_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a number >= 0") from None
     if not value >= 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -383,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InvalidModulus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FactorizationOverflow, BudgetExceeded) as exc:
+    except FactorizationOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except MemoryError:

@@ -59,13 +59,8 @@ class PGroupShape:
         return len(self.exponents)
 
     @property
-    def order_exponent(self) -> int:
-        """The a in |G| = p^a."""
-        return sum(self.exponents)
-
-    @property
     def order(self) -> int:
-        return self.p ** self.order_exponent
+        return self.p ** sum(self.exponents)
 
     def __str__(self) -> str:
         return " x ".join(f"Z{self.p ** e}" for e in self.exponents)

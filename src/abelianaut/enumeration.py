@@ -104,13 +104,3 @@ def _sweep(max_order: int, step: int = 1) -> Iterator[_Record]:
                          f"got max_order={max_order!r}, step={step!r}")
     orders = range(step, max_order + 1, step)
     return chain.from_iterable(map(_groups, orders, factorizations_up_to(max_order, step)))
-
-
-def groups_up_to(max_order: int) -> Iterator[tuple[int, GroupShape]]:
-    """(order, group) for each abelian group of order <= max_order.
-
-    Same stream as :func:`groups_of_order` over orders 1, 2, ..., built
-    from the (order, blocks, |Aut|) records the atlas and the search read.
-    """
-    for order, blocks, _ in _sweep(max_order):
-        yield order, GroupShape(blocks)

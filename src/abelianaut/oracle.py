@@ -69,10 +69,6 @@ def _add(u: ElementVector, v: ElementVector, moduli: Sequence[int]) -> ElementVe
     return tuple(map(mod, map(add, u, v), moduli))
 
 
-def _scale(g: ElementVector, j: int, moduli: Sequence[int]) -> ElementVector:
-    return tuple(c * j % m for c, m in zip(g, moduli))
-
-
 def _extend(
     subgroup: set[ElementVector], g: ElementVector, moduli: Sequence[int]
 ) -> set[ElementVector]:
@@ -105,33 +101,28 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
         raise BudgetExceeded(
             f"|G|^rank = {size}^{n} exceeds the budget of {budget} candidate tuples"
         )
-    moduli = [shape.p**e for e in shape.exponents]
+    p = shape.p
+    moduli = [p**e for e in shape.exponents]
     # Slot i admits exactly the elements killed by m_i = p^e_i: those whose
     # j-th coordinate is a multiple of m_j / gcd(m_j, m_i).
     slots = [list(product(*(range(0, m, m // gcd(m, mi)) for m in moduli)))
              for mi in moduli]
-    return _count({(0,) * n}, slots, moduli, size, shape.p, {})
+    last = slots[-1]
+    multiples: dict[int, list[ElementVector]] = {}  # j -> [j*g for g in last]
 
-
-def _count(
-    prefix: set[ElementVector],
-    slots: list[list[ElementVector]],
-    moduli: list[int],
-    size: int,
-    p: int,
-    multiples: dict[int, list[ElementVector]],
-) -> int:
-    """Fillings of ``slots`` that, with the closure ``prefix`` of the images
-    chosen so far, generate all ``size`` elements.  ``multiples`` caches
-    j*g for each last-slot candidate g, keyed by the multiplier j."""
-    first, rest = slots[0], slots[1:]
-    if not rest:
+    def fillings(prefix: set[ElementVector], i: int) -> int:
+        """Fillings of slots i, ..., n - 1 that, with the closure ``prefix``
+        of the images chosen so far, generate all ``size`` elements."""
+        if i < n - 1:
+            return sum(fillings(_extend(prefix, g, moduli), i + 1) for g in slots[i])
         q = size // len(prefix)
         if q == 1:
-            return len(first)
+            return len(last)
         j = q // p
         if j not in multiples:
-            multiples[j] = [_scale(g, j, moduli) for g in first]
-        return len(first) - sum(map(prefix.__contains__, multiples[j]))
-    return sum(_count(_extend(prefix, g, moduli), rest, moduli, size, p, multiples)
-               for g in first)
+            multiples[j] = [tuple(c * j % m for c, m in zip(g, moduli)) for g in last]
+        return len(last) - sum(map(prefix.__contains__, multiples[j]))
+
+    count = fillings({(0,) * n}, 0)
+    del fillings  # it refers to itself: free its slots now, not at the next collection
+    return count

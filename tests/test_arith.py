@@ -48,6 +48,12 @@ def test_is_prime_refuses_at_the_bound_of_its_bases():
             is_prime(n)
 
 
+def test_is_prime_decides_past_the_bound_when_a_base_prime_divides():
+    # psi_13 + 2 = 3 * ..., psi_13 + 4 = 5 * 7 * ...: no strong test needed
+    for n in (3317044064679887385961983, 3317044064679887385961985, 2 * 10**30):
+        assert not is_prime(n)
+
+
 def test_factorize_basic():
     assert factorize(1) == {}
     assert factorize(12) == {2: 2, 3: 1}

@@ -339,6 +339,21 @@ def test_search_target_past_the_primality_bound_exits_2(capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_search_decides_a_target_past_the_primality_bound_with_a_small_factor(capsys):
+    # psi_13 + 2 = 3 * ...: not an odd prime, so it is searched, not refused
+    assert main(["search", "3317044064679887385961983", "--max-order", "10"]) == 0
+    assert capsys.readouterr() == (
+        "no witness among groups of order <= 10 (says nothing beyond)\n", "")
+
+
+def test_search_denominator_past_the_factorization_bound_exits_2(capsys):
+    # 10**12 + 39 is prime, and the squarefree screen must factor it first.
+    # ROADMAP item 2 (factoring past trial division) changes this on purpose.
+    assert main(["search", "1/1000000000039", "--max-order", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: 1000000000039 exceeds the factorization "
+                                       "bound 1000000**2 = 1000000000000\n")
+
+
 def test_search_rejects_bad_targets(capsys):
     assert main(["search", "0"]) == 1
     assert main(["search", "-2"]) == 1
@@ -479,6 +494,21 @@ def test_integer_options_refuse_values_below_1(capsys, argv):
     assert err.startswith("usage:") and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "3", "--max-order", "x"],
+    ["search", "3", "--time-limit", "x"],
+    ["verify", "--budget", "1.5"],
+    ["valuation", "Z4", "-p", "x"],
+], ids=" ".join)
+def test_option_values_that_do_not_parse_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "must be" in err
+    assert re.search(r"\b_\w", err) is None  # no private name such as _positive_int
+
+
 def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -517,11 +547,11 @@ def test_public_api_is_exactly_these_names():
         "NotFoundWithinBounds", "PGroupClassKind", "PGroupShape",
         "UnrealizableReason", "aut_order", "aut_order_p", "canonicalize",
         "classify", "closed_form_ratio", "count_automorphisms", "factorize",
-        "groups_of_order", "groups_up_to", "is_prime", "is_squarefree",
+        "groups_of_order", "is_prime", "is_squarefree",
         "p_valuation_of_aut", "partitions", "primes_up_to", "ratio",
         "ratio_atlas", "realize", "screen",
     ]
-    assert len(expected) == 26
+    assert len(expected) == 25
     assert abelianaut.__all__ == sorted(set(abelianaut.__all__))
     assert abelianaut.__all__ == expected
     for name in expected:

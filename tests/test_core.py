@@ -14,7 +14,7 @@ from abelianaut import (
     canonicalize,
     classify,
     closed_form_ratio,
-    groups_up_to,
+    groups_of_order,
     p_valuation_of_aut,
     ratio,
 )
@@ -47,7 +47,6 @@ def test_pgroup_shape_validation():
 def test_pgroup_shape_properties():
     s = PGroupShape(3, (1, 2))
     assert s.rank == 2
-    assert s.order_exponent == 3
     assert s.order == 27
     assert str(s) == "Z3 x Z9"
 
@@ -99,8 +98,9 @@ def test_canonicalize_errors():
 
 
 def test_canonicalize_idempotent_on_enumerated_groups():
-    for _, g in groups_up_to(200):
-        assert canonicalize([f.p**e for f in g.factors for e in f.exponents]) == g
+    for n in range(1, 201):
+        for g in groups_of_order(n):
+            assert canonicalize([f.p**e for f in g.factors for e in f.exponents]) == g
 
 
 # ------------------------------------------------------------ aut orders
@@ -251,5 +251,6 @@ def test_rank3_family_fails_at_i_1():
 def test_ratio_denominators_squarefree_small_sweep():
     from abelianaut import is_squarefree
 
-    for _, g in groups_up_to(300):
-        assert is_squarefree(ratio(g).denominator)
+    for n in range(1, 301):
+        for g in groups_of_order(n):
+            assert is_squarefree(ratio(g).denominator)

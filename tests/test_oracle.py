@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 from pathlib import Path
 
@@ -95,6 +96,19 @@ def test_count_respects_budget():
 def test_budget_validation():
     with pytest.raises(ValueError):
         count_automorphisms(PGroupShape(2, (1, 1)), 0)
+
+
+def test_count_leaves_no_reference_cycle():
+    # a cycle would hold the slot lists until the next collection and
+    # raise the peak memory of a verify run
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_automorphisms(PGroupShape(2, (1, 2, 3))) == aut_order_p(
+            PGroupShape(2, (1, 2, 3)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_count_bounded_by_candidate_space():

@@ -6,11 +6,11 @@ import pytest
 from abelianaut import (
     GroupShape,
     PGroupShape,
+    FactorizationOverflow,
     NotFoundWithinBounds,
     UnrealizableReason,
     count_automorphisms,
     groups_of_order,
-    groups_up_to,
     partitions,
     ratio,
     ratio_atlas,
@@ -97,6 +97,13 @@ def test_realize_not_found_within_bounds():
     assert realize(Fraction(1, 7), max_order=5) == NotFoundWithinBounds(5)
 
 
+def test_realize_denominator_past_the_factorization_bound_raises():
+    # 10**12 + 39 is prime; the squarefree screen must factor it first.
+    # ROADMAP item 2 (factoring past trial division) changes this on purpose.
+    with pytest.raises(FactorizationOverflow):
+        realize(Fraction(1, 10**12 + 39), max_order=10)
+
+
 def test_realize_time_budget_maps_to_not_found():
     v = realize(Fraction(9), max_order=10**4, time_limit=0.0)
     assert isinstance(v, NotFoundWithinBounds)
@@ -136,7 +143,7 @@ def test_search_bounds_validation():
 @pytest.mark.parametrize("entry", [
     lambda v: realize(7, max_order=v),
     lambda v: count_automorphisms(PGroupShape(2, (1,)), v),
-    lambda v: list(groups_up_to(v)),
+    lambda v: list(enumeration._sweep(v)),
     lambda v: list(enumeration._sweep(4, v)),
     lambda v: ratio_atlas(v),
     lambda v: list(groups_of_order(v)),
