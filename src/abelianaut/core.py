@@ -7,8 +7,9 @@ prime-power order, grouped by prime::
 
 :class:`PGroupShape` records one prime block (the prime plus its sorted
 exponent partition); :class:`GroupShape` records the whole product.  The
-automorphism count of a prime block is a closed-form product over the
-exponent positions, and blocks of coprime order cannot map into one
+automorphism count of a prime block is p^v times the product of
+p^i - 1 for i = 1..k over each exponent level of k equal factors, with v
+its closed-form p-valuation; blocks of coprime order cannot map into one
 another, so the count for the whole group is just the product over blocks.
 Sweeps do not call these per group: :mod:`abelianaut.enumeration`
 counts each block once in its block table and multiplies the counts.
@@ -20,7 +21,6 @@ floating point anywhere in this package.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -158,15 +158,21 @@ def canonicalize(moduli: Iterable[int]) -> GroupShape:
 
 
 def aut_order_p(shape: PGroupShape) -> int:
-    """Exact automorphism count of an abelian p-group.
+    """Exact automorphism count of an abelian p-group, one level at a time.
 
-    With exponents sorted ascending, write last_k / first_k for the last
-    and first positions (1-based) whose exponent equals the k-th.  The
-    count is the product of three factors over all positions: a unit-like
-    factor p^last_k - p^(k-1) counting invertible choices among factors of
-    equal exponent, and two power factors for the homomorphism freedom
-    into higher- and lower-exponent factors (Hillar and Rhea, "Automorphisms
-    of finite abelian groups", Amer. Math. Monthly 114, 2007).
+    Hillar and Rhea ("Automorphisms of finite abelian groups", Amer. Math.
+    Monthly 114, 2007) count |Aut(P)| as powers of p times a unit factor
+    prod_k (p^last_k - p^(k-1)), last_k the last position (1-based, exponents
+    ascending) whose exponent equals the k-th.  A level of k equal exponents
+    at positions f..f+k-1 has last = f+k-1, so its unit factors are
+    p^(f+t-2) (p^(k-t+1) - 1) for t = 1..k.  As p divides no p^i - 1,
+
+        |Aut(P)| = p^v * prod over levels j of prod_{i=1..k_j} (p^i - 1)
+
+    with k_j the multiplicity of the j-th distinct exponent and v =
+    ``p_valuation_of_aut(shape).total``.  Hence p - 1 divides |Aut(P)|; its
+    part prime to p depends only on the multiplicities; and for odd p each
+    p^i - 1 is even, so v_2(|Aut(P)|) >= rank: v_2 = 1 only for cyclic P.
 
     Not memoized: sweeps read each block's count off the enumeration's table.
 
@@ -176,14 +182,9 @@ def aut_order_p(shape: PGroupShape) -> int:
     108
     """
     p = shape.p
-    exps = shape.exponents
-    n = len(exps)
-    last = [bisect_right(exps, e) for e in exps]
-    first = [bisect_left(exps, e) + 1 for e in exps]
-    units = prod(p ** last[k] - p**k for k in range(n))
-    into_higher = prod((p**e) ** (n - lk) for e, lk in zip(exps, last))
-    into_lower = prod((p ** (e - 1)) ** (n - fk + 1) for e, fk in zip(exps, first))
-    return units * into_higher * into_lower
+    units = prod(p**i - 1 for _, g in groupby(shape.exponents)
+                 for i in range(1, len(list(g)) + 1))
+    return p ** p_valuation_of_aut(shape).total * units
 
 
 def aut_order(group: GroupShape) -> int:
@@ -201,7 +202,7 @@ def ratio(group: GroupShape) -> Fraction:
 
 
 def p_valuation_of_aut(shape: PGroupShape) -> ValuationParts:
-    """Largest power of p dividing aut_order_p(shape), in closed form.
+    """Multiplicity of p in |Aut(P)| for the p-group P = shape, in closed form.
 
     With the distinct exponents e_1 < ... < e_m, k_j factors of exponent
     e_j, and suffix rank sums K_j = k_j + ... + k_m,

@@ -6,12 +6,17 @@ partitions, the multiplicity counter is plain repeated division, the
 subgroup closure is a breadth-first search under addition instead of the
 oracle's coset extension, the naive automorphism count tries every image
 tuple with that search instead of the oracle's slots and last-slot probe,
-and the reference atlas counts every group through ``aut_order_p`` and a
-``Fraction`` instead of reading the enumeration's block table.
+the reference atlas counts every group through ``aut_order_p`` and a
+``Fraction`` instead of reading the enumeration's block table, and
+``hillar_rhea_aut_order`` is Hillar and Rhea's product over exponent
+positions.  The library's ``aut_order_p`` takes its power of p from the
+level walk of ``p_valuation_of_aut``; the position formula shares nothing
+with that walk, so it stays as the reference both are checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -47,6 +52,28 @@ def multiplicity(n: int, p: int) -> int:
         n //= p
         count += 1
     return count
+
+
+def hillar_rhea_aut_order(shape: PGroupShape) -> int:
+    """|Aut(P)| as Hillar and Rhea's three products over exponent positions.
+
+    With exponents sorted ascending, write last_k / first_k for the last
+    and first positions (1-based) whose exponent equals the k-th.  The
+    count is a unit factor p^last_k - p^(k-1) per position, counting
+    invertible choices among factors of equal exponent, times two powers
+    of p for the homomorphisms into higher- and lower-exponent factors
+    ("Automorphisms of finite abelian groups", Amer. Math. Monthly 114,
+    2007).
+    """
+    p = shape.p
+    exps = shape.exponents
+    n = len(exps)
+    last = [bisect_right(exps, e) for e in exps]
+    first = [bisect_left(exps, e) + 1 for e in exps]
+    units = prod(p ** last[k] - p**k for k in range(n))
+    into_higher = prod((p**e) ** (n - lk) for e, lk in zip(exps, last))
+    into_lower = prod((p ** (e - 1)) ** (n - fk + 1) for e, fk in zip(exps, first))
+    return units * into_higher * into_lower
 
 
 def bfs_subgroup(generators, shape: PGroupShape) -> set[tuple[int, ...]]:

@@ -30,7 +30,7 @@ from abelianaut import (
 )
 from abelianaut.arith import factorize, is_squarefree, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
-from helpers import multiplicity, partition_count
+from helpers import hillar_rhea_aut_order, multiplicity, partition_count
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -158,7 +158,11 @@ def test_criterion_5_no_odd_prime_ratios(ratios_up_to_5000):
 
 
 def test_criterion_6_valuation_cross_check():
-    """Closed-form p-valuation equals repeated division, p in {2,3,5}."""
+    """Closed-form p-valuation equals repeated division, p in {2,3,5}.
+
+    The division reads the position formula ``hillar_rhea_aut_order``, which
+    shares nothing with the level walk ``aut_order_p`` takes its p^v from.
+    """
     checked = 0
     bad = []
     for p in (2, 3, 5):
@@ -166,7 +170,7 @@ def test_criterion_6_valuation_cross_check():
             for exps in partitions(a):
                 shape = PGroupShape(p, exps)
                 parts = p_valuation_of_aut(shape)
-                if parts.total != multiplicity(aut_order_p(shape), p):
+                if parts.total != multiplicity(hillar_rhea_aut_order(shape), p):
                     bad.append(shape)
                 checked += 1
     ok = not bad

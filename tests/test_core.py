@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,8 +19,8 @@ from abelianaut import (
     p_valuation_of_aut,
     ratio,
 )
-from abelianaut.enumeration import pgroup_shapes_up_to
-from helpers import multiplicity
+from abelianaut.enumeration import partitions, pgroup_shapes_up_to
+from helpers import hillar_rhea_aut_order, multiplicity
 
 
 # ---------------------------------------------------------------- shapes
@@ -174,7 +175,31 @@ def test_valuation_cyclic():
 def test_valuation_matches_repeated_division():
     for shape in pgroup_shapes_up_to(256):
         v = p_valuation_of_aut(shape)
-        assert v.total == multiplicity(aut_order_p(shape), shape.p), shape
+        assert v.total == multiplicity(hillar_rhea_aut_order(shape), shape.p), shape
+
+
+LEVEL_BLOCKS = [PGroupShape(p, exps)
+                for p, top in ((2, 18), (3, 12), (5, 12), (7, 12), (11, 12))
+                for a in range(1, top + 1) for exps in partitions(a)]
+
+
+def test_aut_order_p_equals_the_position_formula():
+    assert len(LEVEL_BLOCKS) == 2680
+    for shape in LEVEL_BLOCKS:
+        assert aut_order_p(shape) == hillar_rhea_aut_order(shape), shape
+
+
+def test_position_formula_facts_behind_the_level_identity():
+    for shape in LEVEL_BLOCKS:
+        p = shape.p
+        count = hillar_rhea_aut_order(shape)
+        assert count % (p - 1) == 0, shape
+        v = multiplicity(count, p)
+        multiplicities = [shape.exponents.count(e) for e in set(shape.exponents)]
+        assert count // p**v == prod(p**i - 1 for k in multiplicities
+                                     for i in range(1, k + 1)), shape
+        if p % 2:
+            assert multiplicity(count, 2) >= shape.rank, shape
 
 
 # -------------------------------------------------------- classification
