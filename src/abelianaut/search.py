@@ -1,17 +1,78 @@
 """Realizability search: which rationals equal |Aut(G)|/|G|?
 
-Two cheap screens settle many targets outright: a reduced target whose
-denominator is divisible by the square of a prime is never realized by a
-finite abelian group, and neither is an integer target that is an odd
-prime.  Every other target a/b (in lowest terms) is searched for
-exhaustively.  |Aut(G)|/|G| reduces to a fraction whose denominator
-divides |G|, so only groups whose order is a multiple of b can realize
-a/b; the search reads the orders b, 2b, 3b, ... and each order's groups
-in enumeration order, with |Aut| from the block table, off the sweep the
-atlas reads with step 1, so the first hit is a witness of minimal group
-order.  Both build a GroupShape only for what they return.  Absence of a
-witness within bounds proves nothing (the full classification is open)
-and is reported as exactly that, never as unrealizable.
+Six proved screens settle a target a/b (in lowest terms) outright, each
+with its own UnrealizableReason:
+
+- non-squarefree-denominator: a prime divides b twice;
+- odd-prime-target: a/b is an odd prime;
+- non-cyclic-denominator: primes q and p of b have q | p - 1, that is,
+  gcd(b, phi(b)) > 1;
+- half-integer-target: b = 2 and a is neither 1 nor 3;
+- odd-integer-target: b = 1 and a is odd, but neither 1 nor 21;
+- odd-over-odd-target: a and b > 1 are odd, and b is not a prime
+  q = 3 mod 4 with a = (q-1)/2 or 3(q-1)/2.
+
+The first two are the paper's theorems; the other four sharpen them to
+"exactly when", since a named group realizes each case that one of them
+allows within its own class of targets: Z_b gives phi(b)/b, in lowest
+terms when gcd(b, phi(b)) = 1; Z2 and Z2 x Z2 give 1/2 and 3/2; Z1 and
+Z2 x Z2 x Z2 give 1 and 21; Z2 x Z_q and Z2 x Z2 x Z_q give (q-1)/(2q)
+and 3(q-1)/(2q).  Other targets, such as even integers, pass every
+screen, and passing proves nothing.  The screens factor b alone, never
+a: of a they read only its parity, a few fixed values and, for an odd
+integer, is_prime, whose FactorizationOverflow past psi_13 is caught,
+since odd-integer-target decides such an a anyway.
+
+Proofs.  Write r = |Aut(G)|/|G| as the product over the p-blocks P of G
+of r_P = |Aut(P)|/|P|, and |Aut(P)| = p^v * U_P as in core.aut_order_p:
+v = n(n-1)/2 + d + c (ValuationParts, n the rank of P) and U_P, prime to
+p, is the product of p^i - 1 for i = 1..k_j over each level of k_j equal
+exponents e_j.  For a prime l other than p, v_l(r_P) = v_l(U_P) >=
+v_l(p - 1) >= 0, and for odd p every p^i - 1 is even, so v_2(r_P) >= n.
+
+Block lemma.  A p-block of order p^a has v_p(r_P) = v - a >= n(n-3)/2,
+since d >= 0 and c = sum_j (e_j - 1) k_j K_j >= sum_j (e_j - 1) k_j =
+a - n (K_j >= 1 the suffix ranks); exactly, v - a = n(n-3)/2 + d +
+sum_j (e_j - 1) k_j (K_j - 1).  So v_p(r_P) >= -1, with equality only at
+rank 1 (Z_{p^e}) and at rank 2 with d = 0, that is one level (e, e),
+where v - a = 2e - 3 is -1 only for Z_p x Z_p.  Hence v_q(r) =
+v_q(r_Q) + sum over the other blocks P of v_q(U_P) >= -1 for every prime
+q, and q divides b only when q divides |G|, the q-block Q is Z_{q^e} or
+Z_q x Z_q, and q divides no other U_P (the paper's squarefree theorem).
+
+non-cyclic-denominator.  If q and p divide b and q | p - 1, then p
+divides |G| and q | p - 1 | U_P, so v_q(r) >= 0: q does not divide b.
+
+half-integer-target.  b = 2 needs v_2(r) = -1, so the 2-block is Z_{2^e}
+or Z2 x Z2 and no odd prime divides |G| (its U_P is even).  Then r is
+1/2 or 3/2.
+
+odd-integer-target.  For an odd integer r, v_2(r) = 0.  The 2-block
+adds at least -1 and each odd block at least 1, so at most one odd
+prime p divides |G|.  If one does, its block adds exactly 1, so it is
+cyclic, v_p(r_P) = -1, and the 2-block is Z_{2^e} (U = 1) or Z2 x Z2
+(U = 3); v_p(r) = 0 then needs p = 3 and Z2 x Z2, and r = (3/2)(2/3) =
+1.  Otherwise G is a 2-group of rank n with v - a = 0 >= n(n-3)/2, so
+n <= 3, and r = U depends only on the multiplicities: 1, 3 (one level
+of two) or 21 (one level of three).  A level of two has v - a = 2e - 3
+at rank 2 and v - a >= d > 0 at rank 3, never 0; a level of three has
+v - a = 6(e - 1), which is 0 only for Z2 x Z2 x Z2.  So r is 1 or 21.
+
+odd-over-odd-target.  Again v_2(r) = 0, and now an odd prime q of b
+divides |G|.  As above, q is the only odd prime of |G|, its block adds
+exactly 1 to v_2, so it is Z_{q^f} with v_2(q - 1) = 1, that is q = 3
+mod 4, and the 2-block is Z_{2^e} or Z2 x Z2.  Then r is (q-1)/(2q) or
+3(q-1)/(2q), with b = q once r is not an integer.
+
+Every other target a/b is searched for exhaustively.  |Aut(G)|/|G|
+reduces to a fraction whose denominator divides |G|, so only groups
+whose order is a multiple of b can realize a/b; the search reads the
+orders b, 2b, 3b, ... and each order's groups in enumeration order, with
+|Aut| from the block table, off the sweep the atlas reads with step 1,
+so the first hit is a witness of minimal group order.  Both build a
+GroupShape only for what they return.  Absence of a witness within
+bounds proves nothing (the full classification is open) and is reported
+as exactly that, never as unrealizable.
 """
 
 from __future__ import annotations
@@ -24,7 +85,7 @@ from math import gcd
 from numbers import Rational, Real
 
 from . import enumeration
-from .arith import is_prime, is_squarefree
+from .arith import FactorizationOverflow, factorize, is_prime
 from .core import GroupShape
 
 
@@ -39,6 +100,19 @@ class UnrealizableReason(Enum):
         "non-squarefree-denominator",
         "the reduced denominator has a squared prime factor")
     ODD_PRIME_TARGET = ("odd-prime-target", "no odd prime is realizable as a ratio")
+    NON_CYCLIC_DENOMINATOR = (
+        "non-cyclic-denominator",
+        "a prime of the reduced denominator divides p - 1 for another prime p of it")
+    HALF_INTEGER_TARGET = (
+        "half-integer-target",
+        "over 2 only 1/2 (Z2) and 3/2 (Z2 x Z2) are realizable")
+    ODD_INTEGER_TARGET = (
+        "odd-integer-target",
+        "the only odd integers realizable are 1 (Z1) and 21 (Z2 x Z2 x Z2)")
+    ODD_OVER_ODD_TARGET = (
+        "odd-over-odd-target",
+        "odd a over odd b > 1 is realizable only as (q-1)/(2q) or 3(q-1)/(2q) "
+        "for a prime q = 3 mod 4")
 
     def __new__(cls, value: str, explanation: str) -> UnrealizableReason:
         reason = object.__new__(cls)
@@ -66,16 +140,31 @@ def _as_positive_fraction(target: Fraction | int) -> Fraction:
 def screen(target: Fraction | int) -> UnrealizableReason | None:
     """Decide unrealizability without searching, where provable.
 
-    Returns the reason, or None when the screens say nothing (which does
-    NOT mean the target is realizable).  The target is a positive int or
-    Fraction; a bool, a float or a string raises ValueError.
+    Returns the reason (the six screens and their proofs are in the module
+    docstring), or None when the screens say nothing (which does NOT mean
+    the target is realizable).  The target is a positive int or Fraction;
+    a bool, a float or a string raises ValueError.
     """
     target = _as_positive_fraction(target)
-    if not is_squarefree(target.denominator):
+    a, b = target.numerator, target.denominator
+    primes = factorize(b)
+    if any(e > 1 for e in primes.values()):
         return UnrealizableReason.NON_SQUAREFREE_DENOMINATOR
-    a = target.numerator
-    if target.denominator == 1 and a % 2 == 1 and is_prime(a):
-        return UnrealizableReason.ODD_PRIME_TARGET
+    if b == 1:
+        if a % 2 == 0 or a in (1, 21):
+            return None
+        try:
+            if is_prime(a):
+                return UnrealizableReason.ODD_PRIME_TARGET
+        except FactorizationOverflow:
+            pass  # odd, and neither 1 nor 21, whether or not it is prime
+        return UnrealizableReason.ODD_INTEGER_TARGET
+    if any((p - 1) % q == 0 for p in primes for q in primes):  # p never divides p - 1
+        return UnrealizableReason.NON_CYCLIC_DENOMINATOR
+    if b == 2:  # else b is odd: an odd prime p of an even b has 2 | p - 1
+        return None if a in (1, 3) else UnrealizableReason.HALF_INTEGER_TARGET
+    if a % 2 == 1 and not (b in primes and b % 4 == 3 and a in (b // 2, 3 * (b // 2))):
+        return UnrealizableReason.ODD_OVER_ODD_TARGET
     return None
 
 

@@ -12,6 +12,8 @@ the reference atlas counts every group through ``aut_order_p`` and a
 positions.  The library's ``aut_order_p`` takes its power of p from the
 level walk of ``p_valuation_of_aut``; the position formula shares nothing
 with that walk, so it stays as the reference both are checked against.
+``screen_false_proofs`` states the ratios of the screens' named witnesses
+by hand and finds the totients it needs by counting.
 """
 
 from __future__ import annotations
@@ -20,9 +22,18 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import gcd, prod
 
-from abelianaut import GroupShape, PGroupShape, aut_order_p, groups_of_order
+from abelianaut import (
+    GroupShape,
+    PGroupShape,
+    aut_order_p,
+    canonicalize,
+    groups_of_order,
+    ratio,
+    ratio_atlas,
+    screen,
+)
 
 
 @lru_cache(maxsize=None)
@@ -121,3 +132,29 @@ def reference_atlas(max_order: int) -> dict[Fraction, GroupShape]:
             r = Fraction(prod(aut_order_p(f) for f in group.factors), order)
             atlas.setdefault(r, group)
     return atlas
+
+
+def screen_false_proofs(max_order: int) -> list[tuple[Fraction, GroupShape]]:
+    """Ratios that ``screen`` refuses although a group realizes them.
+
+    Every ratio of a group of order <= max_order is screened, with its first
+    witness, and so is each named witness that makes a screen tight: Z1,
+    Z2, Z2^2, Z2^3, Z2 x Z_q and Z2^2 x Z_q for q in 3, 7 and 11, and Z_b
+    for the cyclic numbers b (gcd(b, phi(b)) = 1) below 600 and a few
+    larger ones.  A named witness whose ratio is not the one stated here is
+    returned as well, with the stated ratio.  An empty list is a pass.
+    """
+    false = [(r, g) for r, g in ratio_atlas(max_order).items() if screen(r) is not None]
+    named = [([], 1), ([2], Fraction(1, 2)), ([2, 2], Fraction(3, 2)),
+             ([2, 2, 2], 21)]
+    for q in (3, 7, 11):
+        named += [([2, q], Fraction(q - 1, 2 * q)), ([2, 2, q], Fraction(3 * (q - 1), 2 * q))]
+    for b in [*range(1, 600), 5865, 10007]:  # 5865 = 3 * 5 * 17 * 23
+        phi = sum(gcd(k, b) == 1 for k in range(1, b + 1))
+        if gcd(b, phi) == 1:
+            named.append(([b], Fraction(phi, b)))
+    for moduli, stated in named:
+        group = canonicalize(moduli)
+        if ratio(group) != stated or screen(stated) is not None:
+            false.append((Fraction(stated), group))
+    return false

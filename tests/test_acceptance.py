@@ -27,10 +27,16 @@ from abelianaut import (
     partitions,
     ratio,
     realize,
+    screen,
 )
 from abelianaut.arith import factorize, is_squarefree, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
-from helpers import hillar_rhea_aut_order, multiplicity, partition_count
+from helpers import (
+    hillar_rhea_aut_order,
+    multiplicity,
+    partition_count,
+    screen_false_proofs,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -210,3 +216,16 @@ def test_criterion_8_enumeration_counts():
     _report(8, "enumeration counts vs partition recurrence", ok,
             "50 random orders <= 10^4")
     assert ok, bad
+
+
+def test_criterion_9_screens_are_tight(ratios_up_to_5000):
+    """No ratio up to order 5000 is screened, and each screen's named
+    witnesses give the ratios its theorem lets through."""
+    false = screen_false_proofs(5000)
+    # the helper reads the block table; the fixture forms each group's ratio
+    distinct = {r: g for _, g, r in ratios_up_to_5000}
+    false += [(r, g) for r, g in distinct.items() if screen(r) is not None]
+    ok = not false
+    _report(9, "no screen refuses a realized ratio", ok,
+            f"{len(distinct)} distinct ratios up to order 5000")
+    assert ok, false[:10]

@@ -277,7 +277,7 @@ def test_search_witness(capsys):
 
 
 def test_search_not_found(capsys):
-    assert main(["search", "9", "--max-order", "30"]) == 0
+    assert main(["search", "10", "--max-order", "30"]) == 0
     out = capsys.readouterr().out
     assert "no witness among groups of order <= 30" in out
 
@@ -296,16 +296,16 @@ _SEARCH_OUTPUT = {
                     "no odd prime is realizable as a ratio\n"),
     ("3", "json"): '{"verdict": "unrealizable", "reason": "odd-prime-target"}\n',
     ("3", "csv"): "verdict,reason\nunrealizable,odd-prime-target\n",
-    ("9", "text"): "no witness among groups of order <= 30 (says nothing beyond)\n",
-    ("9", "json"): ('{"verdict": "not-found-within-bounds", '
-                    '"max_order_searched": 30}\n'),
-    ("9", "csv"): "verdict,max_order_searched\nnot-found-within-bounds,30\n",
+    ("10", "text"): "no witness among groups of order <= 30 (says nothing beyond)\n",
+    ("10", "json"): ('{"verdict": "not-found-within-bounds", '
+                     '"max_order_searched": 30}\n'),
+    ("10", "csv"): "verdict,max_order_searched\nnot-found-within-bounds,30\n",
 }
 
 
 @pytest.mark.parametrize("target,fmt", sorted(_SEARCH_OUTPUT))
 def test_search_every_verdict_in_every_format(capsys, target, fmt):
-    bound = ["--max-order", "30"] if target == "9" else []
+    bound = ["--max-order", "30"] if target == "10" else []
     assert main(["search", target, *bound, "--format", fmt]) == 0
     captured = capsys.readouterr()
     assert captured.out == _SEARCH_OUTPUT[target, fmt]
@@ -323,32 +323,34 @@ def test_help_shows_bound_defaults(capsys, monkeypatch, command, default):
     assert default in capsys.readouterr().out
 
 
+_ODD_INTEGER = ("unrealizable (odd-integer-target): the only odd integers "
+                "realizable are 1 (Z1) and 21 (Z2 x Z2 x Z2)\n")
+
+
 def test_search_strong_pseudoprime_is_not_called_prime(capsys):
     # psi_12 = 399165290221 * 798330580441 passes the strong test to the
     # first 12 prime bases, which alone would call it an odd prime.
     assert main(["search", "318665857834031151167461", "--max-order", "10"]) == 0
-    assert capsys.readouterr().out == (
-        "no witness among groups of order <= 10 (says nothing beyond)\n")
+    assert capsys.readouterr() == (_ODD_INTEGER, "")
 
 
-def test_search_target_past_the_primality_bound_exits_2(capsys):
-    assert main(["search", "3317044064679887385961981"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ")
+def test_search_target_past_the_primality_bound_is_decided(capsys):
+    # psi_13 is past the bound of is_prime and no base prime divides it, so
+    # is_prime cannot decide it; odd and neither 1 nor 21, it is unrealizable
+    # either way, and exits 0.
+    assert main(["search", "3317044064679887385961981"]) == 0
+    assert capsys.readouterr() == (_ODD_INTEGER, "")
 
 
 def test_search_decides_a_target_past_the_primality_bound_with_a_small_factor(capsys):
-    # psi_13 + 2 = 3 * ...: not an odd prime, so it is searched, not refused
+    # psi_13 + 2 = 3 * ...: not an odd prime, but an odd integer other than 21
     assert main(["search", "3317044064679887385961983", "--max-order", "10"]) == 0
-    assert capsys.readouterr() == (
-        "no witness among groups of order <= 10 (says nothing beyond)\n", "")
+    assert capsys.readouterr() == (_ODD_INTEGER, "")
 
 
 def test_search_denominator_past_the_factorization_bound_exits_2(capsys):
     # 10**12 + 39 is prime, and the squarefree screen must factor it first.
-    # ROADMAP item 2 (factoring past trial division) changes this on purpose.
+    # ROADMAP item 4 (factoring past trial division) changes this on purpose.
     assert main(["search", "1/1000000000039", "--max-order", "10"]) == 2
     assert capsys.readouterr() == ("", "error: 1000000000039 exceeds the factorization "
                                        "bound 1000000**2 = 1000000000000\n")
@@ -578,5 +580,5 @@ def test_readme_cli_example(capsys, command, comment):
     assert " / ".join(capsys.readouterr().out.splitlines()).startswith(comment)
 
 
-def test_readme_shows_nine_cli_examples():
-    assert len(_readme_cli_examples()) == 9
+def test_readme_shows_ten_cli_examples():
+    assert len(_readme_cli_examples()) == 10

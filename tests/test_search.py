@@ -2,6 +2,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelianaut import (
     GroupShape,
@@ -11,7 +12,9 @@ from abelianaut import (
     UnrealizableReason,
     count_automorphisms,
     groups_of_order,
+    is_prime,
     partitions,
+    primes_up_to,
     ratio,
     ratio_atlas,
     realize,
@@ -39,9 +42,66 @@ def test_screen_odd_prime():
 def test_screen_passes_everything_else():
     assert screen(Fraction(3, 2)) is None
     assert screen(Fraction(2)) is None  # 2 is prime but even
-    assert screen(Fraction(9)) is None  # odd but not prime
+    assert screen(Fraction(10)) is None  # even: no screen reads it
+    assert screen(Fraction(100, 3)) is None  # even over a cyclic number
     assert screen(Fraction(1, 2)) is None
     assert screen(Fraction(1)) is None
+
+
+def test_screen_non_cyclic_denominator():
+    # 6 = 2 * 3 with 2 | 3 - 1; 21 = 3 * 7 with 3 | 7 - 1; 55 = 5 * 11 with 5 | 10
+    for target in (Fraction(7, 6), Fraction(5, 6), Fraction(2, 21), Fraction(4, 55)):
+        assert screen(target) is UnrealizableReason.NON_CYCLIC_DENOMINATOR
+    for b in (15, 33, 35, 255):  # gcd(b, phi(b)) = 1: Z_b gives phi(b)/b
+        assert screen(Fraction(2, b)) is None
+
+
+def test_screen_half_integer_target():
+    assert screen(Fraction(5, 2)) is UnrealizableReason.HALF_INTEGER_TARGET
+    assert screen(Fraction(99, 2)) is UnrealizableReason.HALF_INTEGER_TARGET
+    assert screen(Fraction(1, 2)) is None  # Z2
+    assert screen(Fraction(3, 2)) is None  # Z2 x Z2
+
+
+def test_screen_odd_integer_target():
+    for target in (9, 15, 27, 999, 3 * 7 * 7):
+        assert screen(target) is UnrealizableReason.ODD_INTEGER_TARGET
+    assert screen(21) is None  # Z2 x Z2 x Z2
+    assert screen(1) is None  # Z1
+
+
+def test_screen_odd_integer_the_primality_test_cannot_decide():
+    # psi_13 is past the bound of is_prime, and no base prime divides it;
+    # odd and neither 1 nor 21, it is unrealizable whether or not it is prime.
+    with pytest.raises(FactorizationOverflow):
+        is_prime(3317044064679887385961981)
+    assert screen(3317044064679887385961981) is UnrealizableReason.ODD_INTEGER_TARGET
+
+
+def test_screen_odd_over_odd_target():
+    for target in (Fraction(3, 5), Fraction(1, 7), Fraction(5, 7), Fraction(1, 15),
+                   Fraction(7, 3)):
+        assert screen(target) is UnrealizableReason.ODD_OVER_ODD_TARGET
+    for q in (3, 7, 11, 19, 10007):  # primes = 3 mod 4: Z2 x Z_q and Z2^2 x Z_q
+        assert screen(Fraction(q - 1, 2 * q)) is None
+        assert screen(Fraction(3 * (q - 1), 2 * q)) is None
+
+
+# Groups far past any sweep: up to four primes below 200, each with a
+# partition of up to seven parts, such as Z2^7 x Z199^2.  Half the blocks
+# are Z_p, Z_p^2 or Z_p^3, the blocks of the screens' witnesses.
+_GROUPS = st.dictionaries(
+    st.sampled_from(primes_up_to(200)),
+    st.lists(st.just(1), min_size=1, max_size=3)
+    | st.lists(st.integers(1, 4), min_size=1, max_size=7),
+    max_size=4,
+).map(GroupShape.from_exponents)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(group=_GROUPS)
+def test_screen_never_refuses_the_ratio_of_a_group(group):
+    assert screen(ratio(group)) is None, group
 
 
 def test_screen_rejects_nonpositive():
@@ -64,6 +124,8 @@ def test_realize_screened_targets_without_scanning():
     assert v is UnrealizableReason.ODD_PRIME_TARGET
     v = realize(Fraction(1, 4), max_order=1)
     assert v is UnrealizableReason.NON_SQUAREFREE_DENOMINATOR
+    v = realize(Fraction(9), max_order=1)
+    assert v is UnrealizableReason.ODD_INTEGER_TARGET
 
 
 def test_realize_known_witnesses():
@@ -90,27 +152,27 @@ def test_realize_witness_ratio_exact():
 
 
 def test_realize_not_found_within_bounds():
-    # 9 passes both screens (odd, composite) but has no small witness
-    v = realize(Fraction(9), max_order=30)
+    # 10 passes every screen (it is even) but has no small witness
+    v = realize(Fraction(10), max_order=30)
     assert v == NotFoundWithinBounds(max_order_searched=30)
     # no multiple of the denominator 7 is within the bound: nothing to sweep
-    assert realize(Fraction(1, 7), max_order=5) == NotFoundWithinBounds(5)
+    assert realize(Fraction(2, 7), max_order=5) == NotFoundWithinBounds(5)
 
 
 def test_realize_denominator_past_the_factorization_bound_raises():
     # 10**12 + 39 is prime; the squarefree screen must factor it first.
-    # ROADMAP item 2 (factoring past trial division) changes this on purpose.
+    # ROADMAP item 4 (factoring past trial division) changes this on purpose.
     with pytest.raises(FactorizationOverflow):
         realize(Fraction(1, 10**12 + 39), max_order=10)
 
 
 def test_realize_time_budget_maps_to_not_found():
-    v = realize(Fraction(9), max_order=10**4, time_limit=0.0)
+    v = realize(Fraction(10), max_order=10**4, time_limit=0.0)
     assert isinstance(v, NotFoundWithinBounds)
     assert v.max_order_searched == 0
-    # 7/6 can only be realized at orders 6, 12, ...: orders 1..5 are covered
-    v = realize(Fraction(7, 6), max_order=10**4, time_limit=0.0)
-    assert v == NotFoundWithinBounds(max_order_searched=5)
+    # 16/15 can only be realized at orders 15, 30, ...: orders 1..14 are covered
+    v = realize(Fraction(16, 15), max_order=10**4, time_limit=0.0)
+    assert v == NotFoundWithinBounds(max_order_searched=14)
 
 
 def test_realize_factors_the_sweep_off_the_sieve(monkeypatch):
@@ -118,7 +180,7 @@ def test_realize_factors_the_sweep_off_the_sieve(monkeypatch):
         raise AssertionError(f"trial division of {n}")
 
     monkeypatch.setattr("abelianaut.enumeration.factorize", trial_division)
-    v = realize(Fraction(9), max_order=10**4)
+    v = realize(Fraction(10), max_order=10**4)
     assert v == NotFoundWithinBounds(max_order_searched=10**4)
 
 
@@ -194,8 +256,8 @@ def test_realize_atlas_consistency():
     atlas = ratio_atlas(60)
     for target, witness in atlas.items():
         assert realize(target, max_order=60) == witness
-    # a target outside the atlas (and past both screens) comes back NotFound
-    absent = Fraction(7, 3)
+    # a target outside the atlas (and past every screen) comes back NotFound
+    absent = Fraction(10, 3)
     assert absent not in atlas
     assert realize(absent, max_order=60) == NotFoundWithinBounds(max_order_searched=60)
 
