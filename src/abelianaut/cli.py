@@ -17,7 +17,6 @@ row it read was complete and exact.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -95,6 +94,8 @@ def _emit(rows: Iterable[dict], fmt: str, text_of: Callable[[dict], str]) -> Non
         for row in rows:
             sys.stdout.write(json.dumps(row) + "\n")
     elif fmt == "csv":
+        import csv  # loaded only for CSV output, which few invocations ask for
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for i, row in enumerate(rows):
             if i == 0:
@@ -172,7 +173,7 @@ def cmd_valuation(args: argparse.Namespace) -> int:
 def _enumerate_rows(max_order: int) -> Iterator[dict]:
     for order, blocks, aut in enumeration._sweep(max_order):
         g = gcd(aut, order)
-        yield {"order": order, "group": str(GroupShape(blocks)), "aut_order": aut,
+        yield {"order": order, "group": core.blocks_text(blocks), "aut_order": aut,
                "ratio_num": aut // g, "ratio_den": order // g}
 
 
@@ -208,16 +209,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_atlas(args: argparse.Namespace) -> int:
-    atlas = search.ratio_atlas(args.max_order)
-    rows = (
-        {
-            "ratio_num": r.numerator,
-            "ratio_den": r.denominator,
-            "order": g.order,
-            "group": str(g),
-        }
-        for r, g in atlas.items()
-    )
+    rows = ({"ratio_num": num, "ratio_den": den, "order": order,
+             "group": core.blocks_text(blocks)}
+            for num, den, order, blocks in search._first_witnesses(args.max_order))
     _emit(rows, args.format,
           lambda r: (f"{_ratio_str(r['ratio_num'], r['ratio_den'])}\t"
                      f"{r['order']}\t{r['group']}"))

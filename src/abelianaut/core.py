@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from math import prod
 from typing import Iterable, Mapping
@@ -63,7 +64,7 @@ class PGroupShape:
         return self.p ** sum(self.exponents)
 
     def __str__(self) -> str:
-        return " x ".join(f"Z{self.p ** e}" for e in self.exponents)
+        return _block_text(self.p, self.exponents)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +103,7 @@ class GroupShape:
         return None
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "Z1"
-        return " x ".join(str(f) for f in self.factors)
+        return blocks_text(self.factors)
 
 
 @dataclass(frozen=True)
@@ -261,3 +260,15 @@ def closed_form_ratio(shape: PGroupShape) -> Fraction | None:
     if kind is PGroupClassKind.ELEMENTARY_RANK3:
         return Fraction((p - 1) ** 3 * (p + 1) * (p * p + p + 1))
     return None
+
+
+@cache
+def _block_text(p: int, exponents: tuple[int, ...]) -> str:
+    return " x ".join(f"Z{p ** e}" for e in exponents)
+
+
+def blocks_text(blocks: tuple[PGroupShape, ...]) -> str:
+    """The text of the group whose primary blocks are ``blocks``, in the
+    order given: ``Z2 x Z3 x Z9``, or ``Z1`` for no block.  Each block's
+    text is built once per (p, exponents)."""
+    return " x ".join(map(str, blocks)) or "Z1"

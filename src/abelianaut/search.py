@@ -83,10 +83,11 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 from numbers import Rational, Real
+from typing import Iterator
 
 from . import enumeration
 from .arith import FactorizationOverflow, factorize, is_prime
-from .core import GroupShape
+from .core import GroupShape, PGroupShape
 
 
 # Default cap on the group order swept by realize and ratio_atlas.
@@ -211,17 +212,38 @@ def ratio_atlas(max_order: int = DEFAULT_MAX_ORDER) -> dict[Fraction, GroupShape
 
     Keys appear in discovery order (witness order ascending), so the
     mapping is deterministic and each value is the minimal-order witness
-    for its key.  Ratios are deduped as num * (max_order + 1) + den, one
-    int per reduced pair (den <= max_order), before any Fraction is built.
+    for its key.  This is :func:`_first_witnesses` gathered into a dict:
+    a Fraction and a GroupShape are built once per ratio, never per group.
+    The CLI's ``atlas`` reads that walk itself and writes each row as its
+    ratio is first seen.
     """
-    atlas: dict[Fraction, GroupShape] = {}
-    seen: set[int] = set()
+    return {Fraction(num, den): GroupShape(blocks)
+            for num, den, _, blocks in _first_witnesses(max_order)}
+
+
+def _first_witnesses(
+    max_order: int,
+) -> Iterator[tuple[int, int, int, tuple[PGroupShape, ...]]]:
+    """(ratio_num, ratio_den, order, blocks) for each reduced ratio of a group
+    of order <= max_order, the first time the sweep reaches it.
+
+    The sweep runs orders ascending, so each ratio comes with its
+    minimal-order witness (ties broken by enumeration order).  Ratios are
+    deduped as num * (max_order + 1) + den, one int per reduced pair
+    (den <= max_order).  The bound is checked on the call, not on the
+    first read.
+    """
     sweep = enumeration._sweep(max_order)  # refuses a bad max_order first
     radix = max_order + 1
-    for order, blocks, aut in sweep:
-        g = gcd(aut, order)
-        key = aut // g * radix + order // g
-        if key not in seen:
-            seen.add(key)
-            atlas[Fraction(aut, order)] = GroupShape(blocks)
-    return atlas
+
+    def walk() -> Iterator[tuple[int, int, int, tuple[PGroupShape, ...]]]:
+        seen: set[int] = set()
+        for order, blocks, aut in sweep:
+            g = gcd(aut, order)
+            num, den = aut // g, order // g
+            key = num * radix + den
+            if key not in seen:
+                seen.add(key)
+                yield num, den, order, blocks
+
+    return walk()

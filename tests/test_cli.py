@@ -521,17 +521,23 @@ def test_closed_output_pipe_exits_quietly():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(abelianaut.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    # About 100 KB of rows: more than a pipe buffers, so the writer is still
-    # running when the reader goes away.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "abelianaut", "enumerate", "--max-order", "2000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"1\tZ1\t1\t1\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert b"Traceback" not in err
-    assert err == b""
-    assert proc.returncode == 0
+    # enumerate writes about 100 KB of rows: more than a pipe buffers, so the
+    # writer is still running when the reader goes away.  The atlas to 10^12
+    # could not finish in any time, so it ends only if it writes each row as
+    # its ratio is first seen, not after the sweep.
+    for argv, first_line in [
+        (["enumerate", "--max-order", "2000"], b"1\tZ1\t1\t1\n"),
+        (["atlas", "--max-order", "1000000000000"], b"1\t1\tZ1\n"),
+    ]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "abelianaut", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err
+        assert err == b""
+        assert proc.returncode == 0
 
 
 def test_package_imports_with_the_standard_library_alone():

@@ -20,7 +20,7 @@ from abelianaut import (
     realize,
     screen,
 )
-from abelianaut import core, enumeration
+from abelianaut import core, enumeration, search
 from abelianaut.cli import main
 from helpers import reference_atlas
 
@@ -208,11 +208,12 @@ def test_search_bounds_validation():
     lambda v: list(enumeration._sweep(v)),
     lambda v: list(enumeration._sweep(4, v)),
     lambda v: ratio_atlas(v),
+    lambda v: list(search._first_witnesses(v)),
     lambda v: list(groups_of_order(v)),
     lambda v: list(partitions(v)),
     lambda v: list(enumeration.pgroup_shapes_up_to(v)),
 ], ids=["search-max-order", "oracle-budget", "sweep-max-order", "sweep-step", "atlas",
-        "groups-of-order", "partitions", "pgroup-shapes"])
+        "first-witnesses", "groups-of-order", "partitions", "pgroup-shapes"])
 def test_bounds_take_only_integers_from_1(entry, bad):
     # a bool is an int to Python, but True as a bound is a caller's mistake
     with pytest.raises(ValueError):
