@@ -17,7 +17,6 @@ row it read was complete and exact.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -91,6 +90,8 @@ def _emit(rows: Iterable[dict], fmt: str, text_of: Callable[[dict], str]) -> Non
     """Write rows; a row's keys are its columns, in order, and CSV takes
     its header from the first row."""
     if fmt == "json":
+        import json  # loaded only for JSON output, as csv is below
+
         for row in rows:
             sys.stdout.write(json.dumps(row) + "\n")
     elif fmt == "csv":

@@ -13,6 +13,17 @@ prefix share that prefix's closure.  One routine, :func:`_extend`, grows
 a subgroup H by one generator g as the union of the cosets H + j*g for
 j below k = min{k >= 1 : k*g in H}, so |<H, g>| = |H| * k.
 
+Before the last slot the walk counts per subgroup and per coset.  The
+number of ways to fill slots i, ..., n - 1 depends only on i and on the
+subgroup H that the chosen images generate, so it is computed once per
+(H, i).  Slot i is G[p^e_i], the elements killed by p^e_i; the exponents
+ascend, so slot j lies in slot i for j < i, and H, generated by images
+from those slots, lies in slot i, which is a subgroup.  Hence each coset
+g + H of a g in slot i lies in slot i and has |H| elements, the cosets
+partition the slot, and every member g + h gives the same closure, since
+<H, g + h> = <H, g>: each side contains the other's generators.  So the
+walk closes one candidate per coset and counts its fillings |H| times.
+
 At the last slot nothing is built and no multiple of g is walked.  Let
 q = |G| / |H|.  A candidate g completes the tuple exactly when q == 1, or
 when q > 1 and (q/p)*g is not in H.  Proof: g completes exactly when
@@ -41,7 +52,9 @@ probe.
 Nothing here shares logic with the closed-form path in :mod:`.core` --
 no formula, no matrix bookkeeping -- which is what makes agreement
 between the two paths meaningful evidence.  The candidate space is
-|G|^rank tuples, so an explicit budget guards every call.
+|G|^rank tuples, and an explicit budget on that number guards every call,
+although the walk closes far fewer subgroups: one per coset of each
+distinct prefix subgroup.
 """
 
 from __future__ import annotations
@@ -91,7 +104,9 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
 
     ``budget`` (an int >= 1) caps |G|^rank, the raw candidate-tuple count.
     Raises :class:`BudgetExceeded` when |G|^rank exceeds it; the caller is
-    expected to skip the shape, not to approximate.
+    expected to skip the shape, not to approximate.  The walk itself, one
+    closure per coset of each distinct prefix subgroup, visits far fewer
+    tuples than the budget meters.
     """
     if not is_positive_int(budget):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
@@ -109,12 +124,23 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
              for mi in moduli]
     last = slots[-1]
     multiples: dict[int, list[ElementVector]] = {}  # j -> [j*g for g in last]
+    memo: dict[tuple[frozenset[ElementVector], int], int] = {}
 
     def fillings(prefix: set[ElementVector], i: int) -> int:
         """Fillings of slots i, ..., n - 1 that, with the closure ``prefix``
         of the images chosen so far, generate all ``size`` elements."""
         if i < n - 1:
-            return sum(fillings(_extend(prefix, g, moduli), i + 1) for g in slots[i])
+            key = (frozenset(prefix), i)
+            if key not in memo:
+                # one candidate per coset g + H, each coset counted |H| times
+                covered: set[ElementVector] = set()
+                total = 0
+                for g in slots[i]:
+                    if g not in covered:
+                        covered.update([_add(g, h, moduli) for h in prefix])
+                        total += fillings(_extend(prefix, g, moduli), i + 1)
+                memo[key] = total * len(prefix)
+            return memo[key]
         q = size // len(prefix)
         if q == 1:
             return len(last)
@@ -124,5 +150,5 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
         return len(last) - sum(map(prefix.__contains__, multiples[j]))
 
     count = fillings({(0,) * n}, 0)
-    del fillings  # it refers to itself: free its slots now, not at the next collection
+    del fillings  # it refers to itself: free its slots and memo now, not at the next collection
     return count

@@ -1,6 +1,7 @@
 import ast
 import gc
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,7 +120,7 @@ def test_count_bounded_by_candidate_space():
 @pytest.mark.parametrize("p, exps", [
     (2, (1, 1)), (2, (1, 2)), (3, (1, 1)), (2, (1, 3)), (2, (2, 2)),
     (5, (1, 1)), (3, (1, 2)), (2, (1, 1, 1)), (2, (1, 1, 2)), (2, (3,)),
-    (3, (3,)),
+    (3, (3,)), (2, (1, 2, 2)), (2, (1, 1, 3)),
 ])
 def test_count_equals_the_naive_count_over_every_image_tuple(p, exps):
     shape = PGroupShape(p, exps)
@@ -147,6 +148,44 @@ def test_last_slot_completion_is_one_probe_at_q_over_p():
                 probe = q == 1 or tuple(c * j % m for c, m in zip(g, moduli)) not in h
                 assert generates == probe, (shape, gens, g)
     assert {1, 2, 3, 4, 5, 8, 9, 25} <= seen_q
+
+
+def test_prefix_subgroup_lies_in_the_next_slot_and_cosets_close_alike():
+    """With images g_j killed by p^e_j for j < i, H = <g_0, ..., g_{i-1}>
+    lies in slot i, G[p^e_i], and <H, g + h> = <H, g> for every h in H."""
+    rng = random.Random(3142)
+    for shape in [PGroupShape(2, (1, 2, 3)), PGroupShape(3, (1, 2, 2))]:
+        moduli = [shape.p**e for e in shape.exponents]
+        vectors = _all_vectors(shape)
+        slots = [[v for v in vectors if all(c * mi % m == 0 for c, m in zip(v, moduli))]
+                 for mi in moduli]
+        for _ in range(8):
+            i = rng.randint(1, shape.rank - 1)
+            prefix = [rng.choice(slots[j]) for j in range(i)]
+            h = bfs_subgroup(prefix, shape)
+            assert h <= set(slots[i]), (shape, prefix)
+            for g in rng.sample(slots[i], 4):
+                closed = bfs_subgroup(prefix + [g], shape)
+                for x in h:
+                    gx = tuple((a + b) % m for a, b, m in zip(g, x, moduli))
+                    assert bfs_subgroup(prefix + [gx], shape) == closed, (shape, prefix, g, x)
+
+
+def test_count_closes_each_subgroup_and_coset_once_per_slot(monkeypatch):
+    # the walk keys its memo on (H, slot) and closes one candidate per coset
+    # g + H, so a pair (H, g + H) can recur only across the n - 1 slots
+    closed = []
+    extend = oracle._extend
+
+    def recording(subgroup, g, moduli):
+        coset = frozenset(oracle._add(g, h, moduli) for h in subgroup)
+        closed.append((frozenset(subgroup), coset))
+        return extend(subgroup, g, moduli)
+
+    monkeypatch.setattr(oracle, "_extend", recording)
+    shape = PGroupShape(2, (1, 1, 1, 1))
+    assert count_automorphisms(shape) == aut_order_p(shape)
+    assert max(Counter(closed).values()) <= shape.rank - 1
 
 
 # ------------------------------------------------------------ independence
