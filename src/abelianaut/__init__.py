@@ -10,7 +10,6 @@ from .arith import (
     InvalidModulus,
     factorize,
     is_prime,
-    is_squarefree,
     primes_up_to,
 )
 from .core import (
@@ -55,7 +54,6 @@ __all__ = [
     "factorize",
     "groups_of_order",
     "is_prime",
-    "is_squarefree",
     "p_valuation_of_aut",
     "partitions",
     "primes_up_to",

@@ -107,11 +107,6 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def is_squarefree(n: int) -> bool:
-    """True when no prime divides ``n`` twice."""
-    return all(e == 1 for e in factorize(n).values())
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n: the k >= 2 with no smallest prime factor in the sieve.
 

@@ -99,8 +99,9 @@ def _sweep(max_order: int, step: int = 1) -> Iterator[_Record]:
     """:func:`_groups` of order = step, 2step, ... <= max_order in one flat
     stream, factored off one sieve: the records the atlas, enumerate and
     search read.  The bounds are checked on the call, not on the first read."""
-    if not (is_positive_int(max_order) and is_positive_int(step)):
-        raise ValueError(f"need integers max_order, step >= 1, "
-                         f"got max_order={max_order!r}, step={step!r}")
+    if not is_positive_int(max_order):
+        raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
+    if not is_positive_int(step):
+        raise ValueError(f"step must be an integer >= 1, got {step!r}")
     orders = range(step, max_order + 1, step)
     return chain.from_iterable(map(_groups, orders, factorizations_up_to(max_order, step)))

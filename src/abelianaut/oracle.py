@@ -8,26 +8,26 @@ images generate the whole group, because on a finite group a surjective
 endomorphism is already bijective.  So: enumerate the image tuples, keep
 the ones whose subgroup closure is everything, and count.
 
-The tuples are walked slot by slot, depth first, so tuples that share a
-prefix share that prefix's closure.  One routine, :func:`_extend`, grows
-a subgroup H by one generator g as the union of the cosets H + j*g for
-j below k = min{k >= 1 : k*g in H}, so |<H, g>| = |H| * k.
+The tuples are counted forward, one slot at a time.  Before slot i the
+count maps each prefix subgroup H, generated by images for slots
+0, ..., i - 1, to the number of those image prefixes that generate it;
+it starts at {0}, with one way.  One routine, :func:`_extend`, grows H
+by one generator g as the union of the cosets H + j*g for j below
+k = min{k >= 1 : k*g in H}, so |<H, g>| = |H| * k.
 
-Before the last slot the walk counts per subgroup and per coset.  The
-number of ways to fill slots i, ..., n - 1 depends only on i and on the
-subgroup H that the chosen images generate, so it is computed once per
-(H, i).  Slot i is G[p^e_i], the elements killed by p^e_i; the exponents
-ascend, so slot j lies in slot i for j < i, and H, generated by images
-from those slots, lies in slot i, which is a subgroup.  Hence each coset
-g + H of a g in slot i lies in slot i and has |H| elements, the cosets
-partition the slot, and every member g + h gives the same closure, since
-<H, g + h> = <H, g>: each side contains the other's generators.  So the
-walk closes one candidate per coset and counts its fillings |H| times.
+Each level is built per subgroup and per coset.  Slot i is G[p^e_i], the
+elements killed by p^e_i; the exponents ascend, so slot j lies in slot i
+for j < i, and H, generated by images from those slots, lies in slot i,
+which is a subgroup.  Hence each coset g + H of a g in slot i lies in
+slot i and has |H| elements, the cosets partition the slot, and every
+member g + h gives the same closure, since <H, g + h> = <H, g>: each
+side contains the other's generators.  So for each H the count closes
+one candidate per coset and adds ways * |H| to the entry for <H, g>.
 
-At the last slot nothing is built and no multiple of g is walked.  Let
-q = |G| / |H|.  A candidate g completes the tuple exactly when q == 1, or
-when q > 1 and (q/p)*g is not in H.  Proof: g completes exactly when
-|H| * k = |G|, that is, when k = q.
+At the last slot nothing is built and no multiple of g is walked.  For
+each H of the last level let q = |G| / |H|.  A candidate g completes the
+tuple exactly when q == 1, or when q > 1 and (q/p)*g is not in H.
+Proof: g completes exactly when |H| * k = |G|, that is, when k = q.
 
 - The cosets H + j*g for 0 <= j < k are pairwise disjoint: if
   H + i*g = H + j*g with 0 <= i < j < k, then (j - i)*g is in H with
@@ -45,15 +45,13 @@ This is counting on cosets and nothing more: no formula for |Aut|, no
 Frattini argument and no rank argument.  In particular q == 1 cannot
 arise through :func:`count_automorphisms`, since n - 1 images cannot
 generate a group of rank n, but the branch stays rather than lean on that.
-Within one call each last-slot candidate is scaled once per distinct
-multiplier q/p (at most a of them), and each completion test is one set
-probe.
+Each H of the last level is probed once; each j = q/p scales the slot once.
 
 Nothing here shares logic with the closed-form path in :mod:`.core` --
 no formula, no matrix bookkeeping -- which is what makes agreement
 between the two paths meaningful evidence.  The candidate space is
 |G|^rank tuples, and an explicit budget on that number guards every call,
-although the walk closes far fewer subgroups: one per coset of each
+although the count closes far fewer subgroups: one per coset of each
 distinct prefix subgroup.
 """
 
@@ -79,7 +77,9 @@ class BudgetExceeded(RuntimeError):
 
 
 def _add(u: ElementVector, v: ElementVector, moduli: Sequence[int]) -> ElementVector:
-    return tuple(map(mod, map(add, u, v), moduli))
+    # tuple() of a map allocates ten slots and shrinks: each sum is a fresh block,
+    # and dead sums fill the tuple free lists (about 300 KB); a list sizes it exactly.
+    return tuple(list(map(mod, map(add, u, v), moduli)))
 
 
 def _extend(
@@ -104,9 +104,8 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
 
     ``budget`` (an int >= 1) caps |G|^rank, the raw candidate-tuple count.
     Raises :class:`BudgetExceeded` when |G|^rank exceeds it; the caller is
-    expected to skip the shape, not to approximate.  The walk itself, one
-    closure per coset of each distinct prefix subgroup, visits far fewer
-    tuples than the budget meters.
+    expected to skip the shape, not to approximate.  The count, one slot
+    level at a time, closes far fewer subgroups than the budget meters.
     """
     if not is_positive_int(budget):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
@@ -123,32 +122,32 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
     slots = [list(product(*(range(0, m, m // gcd(m, mi)) for m in moduli)))
              for mi in moduli]
     last = slots[-1]
+    # the last slot is G itself: kept subgroups hold its tuples, not copies
+    canon = {g: g for g in last}
+    # level: each subgroup H that images for the slots so far can generate,
+    # with the number of image prefixes that generate it
+    level: dict[frozenset[ElementVector], int] = {frozenset({(0,) * n}): 1}
+    for slot in slots[:-1]:
+        nxt: dict[frozenset[ElementVector], int] = {}
+        for prefix, ways in level.items():
+            # one candidate per coset g + H, each coset counted |H| times
+            covered: set[ElementVector] = set()
+            for g in slot:
+                if g not in covered:
+                    covered.update([_add(g, h, moduli) for h in prefix])
+                    key = frozenset(map(canon.__getitem__, _extend(prefix, g, moduli)))
+                    nxt[key] = nxt.get(key, 0) + ways * len(prefix)
+        level = nxt
     multiples: dict[int, list[ElementVector]] = {}  # j -> [j*g for g in last]
-    memo: dict[tuple[frozenset[ElementVector], int], int] = {}
-
-    def fillings(prefix: set[ElementVector], i: int) -> int:
-        """Fillings of slots i, ..., n - 1 that, with the closure ``prefix``
-        of the images chosen so far, generate all ``size`` elements."""
-        if i < n - 1:
-            key = (frozenset(prefix), i)
-            if key not in memo:
-                # one candidate per coset g + H, each coset counted |H| times
-                covered: set[ElementVector] = set()
-                total = 0
-                for g in slots[i]:
-                    if g not in covered:
-                        covered.update([_add(g, h, moduli) for h in prefix])
-                        total += fillings(_extend(prefix, g, moduli), i + 1)
-                memo[key] = total * len(prefix)
-            return memo[key]
+    count = 0
+    for prefix, ways in level.items():
         q = size // len(prefix)
         if q == 1:
-            return len(last)
+            count += ways * len(last)
+            continue
         j = q // p
         if j not in multiples:
-            multiples[j] = [tuple(c * j % m for c, m in zip(g, moduli)) for g in last]
-        return len(last) - sum(map(prefix.__contains__, multiples[j]))
-
-    count = fillings({(0,) * n}, 0)
-    del fillings  # it refers to itself: free its slots and memo now, not at the next collection
+            multiples[j] = [tuple([c * j % m for c, m in zip(g, moduli)])
+                            for g in last]  # a list, not a generator, as in _add
+        count += ways * (len(last) - sum(map(prefix.__contains__, multiples[j])))
     return count

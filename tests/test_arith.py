@@ -8,7 +8,6 @@ from abelianaut.arith import (
     factorize,
     factorizations_up_to,
     is_prime,
-    is_squarefree,
     primes_up_to,
 )
 
@@ -74,13 +73,6 @@ def test_factorize_rejects_bad_input():
         factorize(-6)
     with pytest.raises(FactorizationOverflow):
         factorize(10**12 + 1)
-
-
-def test_is_squarefree():
-    assert is_squarefree(1)
-    assert is_squarefree(30)
-    assert not is_squarefree(4)
-    assert not is_squarefree(18)
 
 
 def test_primes_up_to():

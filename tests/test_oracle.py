@@ -171,9 +171,14 @@ def test_prefix_subgroup_lies_in_the_next_slot_and_cosets_close_alike():
                     assert bfs_subgroup(prefix + [gx], shape) == closed, (shape, prefix, g, x)
 
 
-def test_count_closes_each_subgroup_and_coset_once_per_slot(monkeypatch):
-    # the walk keys its memo on (H, slot) and closes one candidate per coset
-    # g + H, so a pair (H, g + H) can recur only across the n - 1 slots
+@pytest.mark.parametrize("p, exps, closures", [
+    (2, (1, 1, 1, 1), 428), (2, (1, 2, 3), 152), (3, (1, 1, 2), 171),
+    (3, (1, 2, 2), 1323),
+], ids=["Z2^4", "Z2xZ4xZ8", "Z3xZ3xZ9", "Z3xZ9xZ9"])
+def test_count_closes_each_subgroup_and_coset_once_per_slot(monkeypatch, p, exps, closures):
+    # each level holds a prefix subgroup H once and closes one candidate per
+    # coset g + H, so a pair (H, g + H) can recur only across the n - 1 slots;
+    # the totals pin how many closures the whole count makes
     closed = []
     extend = oracle._extend
 
@@ -183,9 +188,10 @@ def test_count_closes_each_subgroup_and_coset_once_per_slot(monkeypatch):
         return extend(subgroup, g, moduli)
 
     monkeypatch.setattr(oracle, "_extend", recording)
-    shape = PGroupShape(2, (1, 1, 1, 1))
-    assert count_automorphisms(shape) == aut_order_p(shape)
+    shape = PGroupShape(p, exps)
+    assert count_automorphisms(shape, shape.order**shape.rank) == aut_order_p(shape)
     assert max(Counter(closed).values()) <= shape.rank - 1
+    assert len(closed) == closures
 
 
 # ------------------------------------------------------------ independence

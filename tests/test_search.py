@@ -11,6 +11,7 @@ from abelianaut import (
     NotFoundWithinBounds,
     UnrealizableReason,
     count_automorphisms,
+    factorize,
     groups_of_order,
     is_prime,
     partitions,
@@ -201,6 +202,15 @@ def test_search_bounds_validation():
             UnrealizableReason.ODD_PRIME_TARGET)
 
 
+@pytest.mark.parametrize("call", [lambda: realize(1, max_order=0), lambda: ratio_atlas(0)],
+                         ids=["realize", "ratio_atlas"])
+def test_a_bad_max_order_is_refused_by_name_without_the_sweeps_step(call):
+    # the sweep's step is private: the caller passed only max_order
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert "max_order" in str(refused.value) and "step" not in str(refused.value)
+
+
 @pytest.mark.parametrize("bad", [0, -3, True, 2.5, 4.0, "4"])
 @pytest.mark.parametrize("entry", [
     lambda v: realize(7, max_order=v),
@@ -247,10 +257,8 @@ def test_atlas_max_order_1():
 
 
 def test_atlas_denominators_squarefree():
-    from abelianaut import is_squarefree
-
     for r in ratio_atlas(200):
-        assert is_squarefree(r.denominator)
+        assert all(e == 1 for e in factorize(r.denominator).values())
 
 
 def test_realize_atlas_consistency():
