@@ -8,7 +8,9 @@ therefore rely on it for witness minimality.
 
 Each primary block is built and counted once, in a cached (p, a) table;
 a sweep folds the counts into each group's |Aut| prime by prime and
-builds a GroupShape only for the groups it hands out.
+hands out (order, blocks, |Aut|) records, building no GroupShape.
+:func:`groups_of_order` builds one per group; ``realize`` and
+``ratio_atlas`` build one per witness.
 """
 
 from __future__ import annotations

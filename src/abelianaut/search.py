@@ -230,20 +230,15 @@ def _first_witnesses(
     The sweep runs orders ascending, so each ratio comes with its
     minimal-order witness (ties broken by enumeration order).  Ratios are
     deduped as num * (max_order + 1) + den, one int per reduced pair
-    (den <= max_order).  The bound is checked on the call, not on the
-    first read.
+    (den <= max_order).  The sweep checks the bound when the walk starts.
     """
     sweep = enumeration._sweep(max_order)  # refuses a bad max_order first
     radix = max_order + 1
-
-    def walk() -> Iterator[tuple[int, int, int, tuple[PGroupShape, ...]]]:
-        seen: set[int] = set()
-        for order, blocks, aut in sweep:
-            g = gcd(aut, order)
-            num, den = aut // g, order // g
-            key = num * radix + den
-            if key not in seen:
-                seen.add(key)
-                yield num, den, order, blocks
-
-    return walk()
+    seen: set[int] = set()
+    for order, blocks, aut in sweep:
+        g = gcd(aut, order)
+        num, den = aut // g, order // g
+        key = num * radix + den
+        if key not in seen:
+            seen.add(key)
+            yield num, den, order, blocks

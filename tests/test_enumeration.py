@@ -79,14 +79,14 @@ def test_groups_of_order_overflow():
         list(groups_of_order(10**13))
 
 
-# ----------------------------------------------------------- groups up to N
+# ----------------------------------------------------------- the sweep to N
 
 def _up_to(max_order):
     """(order, group) per record of the sweep that enumerate prints."""
     return [(order, GroupShape(blocks)) for order, blocks, _ in enumeration._sweep(max_order)]
 
 
-def test_groups_up_to_small_exact():
+def test_sweep_small_exact():
     got = _up_to(4)
     want = [
         (1, GroupShape()),
@@ -98,7 +98,7 @@ def test_groups_up_to_small_exact():
     assert got == want
 
 
-def test_groups_up_to_counts():
+def test_sweep_counts():
     assert len(_up_to(1)) == 1
     assert len(_up_to(8)) == 11
 
@@ -112,7 +112,7 @@ def test_groups_up_to_step_keeps_the_multiples_of_step(max_order, step):
 
 
 @pytest.mark.parametrize("max_order, step", [(0, 1), (10, 0), (10, -3)])
-def test_groups_up_to_rejects_bounds_below_1(max_order, step):
+def test_sweep_rejects_bounds_below_1(max_order, step):
     with pytest.raises(ValueError):  # when called, before any record is read
         enumeration._sweep(max_order, step)
 

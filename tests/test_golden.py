@@ -59,7 +59,7 @@ def test_sieve_is_built_as_the_caller_goes():
     assert [next(first) for _ in range(4)] == [{}, {2: 1}, {3: 1}, {2: 2}]
 
 
-def test_groups_up_to_is_groups_of_order_concatenated():
+def test_sweep_is_groups_of_order_concatenated():
     want = chain.from_iterable(
         ((n, g) for g in groups_of_order(n)) for n in range(1, 2001))
     got = [(order, GroupShape(blocks), aut)
