@@ -130,8 +130,8 @@ def _smallest_prime_factors(n: int) -> array:
     return spf
 
 
-def factorizations_up_to(n: int, step: int = 1) -> Iterator[dict[int, int]]:
-    """``factorize(k)`` for k = step, 2*step, ... <= n in turn, read off a sieve.
+def factorizations_up_to(n: int, step: int = 1) -> Iterator[tuple[int, dict[int, int]]]:
+    """``(k, factorize(k))`` for k = step, 2*step, ... <= n in turn, read off a sieve.
 
     ``step`` is factored once, and each cofactor j = k/step walks
     j -> j / spf(j) down a smallest-prime-factor sieve of the cofactors,
@@ -152,4 +152,4 @@ def factorizations_up_to(n: int, step: int = 1) -> Iterator[dict[int, int]]:
                 m //= p
                 e += 1
             factors[p] = factors.get(p, 0) + e
-        yield dict(sorted(factors.items())) if base else factors
+        yield j * step, dict(sorted(factors.items())) if base else factors

@@ -354,11 +354,8 @@ def _unlimited_int_digits() -> Iterator[None]:
     """Lift Python's limit on int <-> str digits while the block runs.
 
     |Aut| of (Z2)^200 has about 12,000 digits, past the default limit of
-    4300.  Releases before 3.10.7 have neither the limit nor the setter.
+    4300.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

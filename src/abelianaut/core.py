@@ -211,14 +211,13 @@ def p_valuation_of_aut(shape: PGroupShape) -> ValuationParts:
 
     and the total multiplicity is n(n-1)/2 + d + c.
     """
-    levels = [(e, len(list(g))) for e, g in groupby(shape.exponents)]
-    m = len(levels)
-    suffix = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + levels[j][1]
-    n = suffix[0]
-    d = sum(e * k * suffix[j + 1] for j, (e, k) in enumerate(levels[:-1]))
-    c = sum((e - 1) * k * suffix[j] for j, (e, k) in enumerate(levels))
+    n = K = shape.rank  # K runs down the suffix rank sums K_1 = n, K_2, ...
+    d = c = 0
+    for e, g in groupby(shape.exponents):
+        k = len(list(g))
+        c += (e - 1) * k * K
+        K -= k
+        d += e * k * K
     return ValuationParts(n=n, d=d, c=c)
 
 
@@ -245,9 +244,9 @@ def closed_form_ratio(shape: PGroupShape) -> Fraction | None:
 
     Cyclic groups give (p-1)/p; Z_p x Z_p gives (p-1)^2 (p+1) / p;
     Z_p x Z_{p^i} with i > 1 gives (p-1)^2 regardless of i; and
-    Z_p x Z_p x Z_p gives (p-1)^3 (p+1) (p^2+p+1).  For the general
-    class there is no closed form, only the guarantee that the ratio is
-    an integer divisible by p(p-1)^2, so None comes back.
+    Z_p x Z_p x Z_p gives (p-1)^3 (p+1) (p^2+p+1).  The general class
+    has no class-specific formula, so None comes back: its ratio is
+    ``aut_order_p(shape) / |P|``, an integer divisible by p(p-1)^2.
     """
     p = shape.p
     kind = classify(shape)

@@ -16,7 +16,7 @@ hands out (order, blocks, |Aut|) records, building no GroupShape.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
+from itertools import chain, starmap
 from typing import Iterator
 
 from .arith import factorize, factorizations_up_to, is_positive_int, primes_up_to
@@ -98,12 +98,12 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
 
 
 def _sweep(max_order: int, step: int = 1) -> Iterator[_Record]:
-    """:func:`_groups` of order = step, 2step, ... <= max_order in one flat
-    stream, factored off one sieve: the records the atlas, enumerate and
-    search read.  The bounds are checked on the call, not on the first read."""
+    """:func:`_groups` of each (order, factorization) pair that one sieve,
+    ``factorizations_up_to``, yields for order = step, 2step, ... <= max_order,
+    in one flat stream: the records the atlas, enumerate and search read.
+    The bounds are checked on the call, not on the first read."""
     if not is_positive_int(max_order):
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
     if not is_positive_int(step):
         raise ValueError(f"step must be an integer >= 1, got {step!r}")
-    orders = range(step, max_order + 1, step)
-    return chain.from_iterable(map(_groups, orders, factorizations_up_to(max_order, step)))
+    return chain.from_iterable(starmap(_groups, factorizations_up_to(max_order, step)))

@@ -11,7 +11,9 @@ the reference atlas counts every group through ``aut_order_p`` and a
 ``hillar_rhea_aut_order`` is Hillar and Rhea's product over exponent
 positions.  The library's ``aut_order_p`` takes its power of p from the
 level walk of ``p_valuation_of_aut``; the position formula shares nothing
-with that walk, so it stays as the reference both are checked against.
+with that walk, so it stays as the reference both are checked against,
+and ``hillar_rhea_valuation_parts`` reads the walk's d and c off its
+position products.
 ``screen_false_proofs`` states the ratios of the screens' named witnesses
 by hand and finds the totients it needs by counting.
 """
@@ -34,6 +36,7 @@ from abelianaut import (
     ratio_atlas,
     screen,
 )
+from abelianaut.core import ValuationParts
 
 
 @lru_cache(maxsize=None)
@@ -79,12 +82,30 @@ def hillar_rhea_aut_order(shape: PGroupShape) -> int:
     p = shape.p
     exps = shape.exponents
     n = len(exps)
-    last = [bisect_right(exps, e) for e in exps]
-    first = [bisect_left(exps, e) + 1 for e in exps]
+    last, first = _positions(exps)
     units = prod(p ** last[k] - p**k for k in range(n))
     into_higher = prod((p**e) ** (n - lk) for e, lk in zip(exps, last))
     into_lower = prod((p ** (e - 1)) ** (n - fk + 1) for e, fk in zip(exps, first))
     return units * into_higher * into_lower
+
+
+def hillar_rhea_valuation_parts(shape: PGroupShape) -> ValuationParts:
+    """The exponents of p in the two position products of
+    :func:`hillar_rhea_aut_order`: d = sum_i e_i (n - last_i) from the maps
+    into higher-exponent factors, c = sum_i (e_i - 1) (n - first_i + 1)
+    from those into lower ones."""
+    exps = shape.exponents
+    n = len(exps)
+    last, first = _positions(exps)
+    d = sum(e * (n - lk) for e, lk in zip(exps, last))
+    c = sum((e - 1) * (n - fk + 1) for e, fk in zip(exps, first))
+    return ValuationParts(n=n, d=d, c=c)
+
+
+def _positions(exps: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """last_k and first_k (1-based) for each position k of the ascending ``exps``."""
+    return ([bisect_right(exps, e) for e in exps],
+            [bisect_left(exps, e) + 1 for e in exps])
 
 
 def bfs_subgroup(generators, shape: PGroupShape) -> set[tuple[int, ...]]:

@@ -94,6 +94,6 @@ def test_primes_up_to_takes_only_integers(n):
 @pytest.mark.parametrize("step", [1, 2, 12, 30, 97, 2000, 2001])
 def test_stepped_sieve_factorizations_equal_trial_division(step):
     got = list(factorizations_up_to(2000, step))
-    want = [factorize(k) for k in range(step, 2001, step)]
+    want = [(k, factorize(k)) for k in range(step, 2001, step)]
     assert got == want
-    assert [list(f) for f in got] == [list(f) for f in want]  # primes ascending
+    assert [list(f) for _, f in got] == [list(f) for _, f in want]  # primes ascending

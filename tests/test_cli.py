@@ -132,9 +132,6 @@ def test_aut_prints_counts_past_the_int_str_digit_limit(capsys):
     assert main(["aut", "x".join(["Z2"] * 200)]) == 0
     out = capsys.readouterr().out
     expected = prod(2**200 - 2**k for k in range(200))
-    if not hasattr(sys, "set_int_max_str_digits"):
-        assert out == f"{expected}\n"
-        return
     saved = sys.get_int_max_str_digits()
     assert saved != 0  # main put the limit back
     sys.set_int_max_str_digits(0)
@@ -145,15 +142,17 @@ def test_aut_prints_counts_past_the_int_str_digit_limit(capsys):
         sys.set_int_max_str_digits(saved)
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this Python has no digit limit to lift")
-def test_main_runs_where_python_has_no_int_str_digit_limit(capsys, monkeypatch):
-    # Python before 3.10.7 has no set_int_max_str_digits.
-    limit = sys.get_int_max_str_digits()
-    monkeypatch.delattr(sys, "set_int_max_str_digits")
-    assert main(["aut", "Z2xZ3xZ9"]) == 0
-    assert capsys.readouterr().out == "108\n"
-    assert sys.get_int_max_str_digits() == limit
+def test_main_parses_bounds_past_the_int_str_digit_limit(capsys):
+    # The limit is lifted around argument parsing too, so int() takes a
+    # --max-order of 5,001 digits under the interpreter's default limit.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        assert main(["search", "1/4", "--max-order", "1" + "0" * 5000]) == 0
+        assert capsys.readouterr().out.startswith("unrealizable")
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_ratio_text_integer_and_fraction(capsys):
@@ -522,11 +521,12 @@ def test_closed_output_pipe_exits_quietly():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(abelianaut.__file__).parents[1]), env.get("PYTHONPATH", "")])
     # enumerate writes about 100 KB of rows: more than a pipe buffers, so the
-    # writer is still running when the reader goes away.  The atlas to 10^12
-    # could not finish in any time, so it ends only if it writes each row as
-    # its ratio is first seen, not after the sweep.
+    # writer is still running when the reader goes away.  Neither stream to
+    # 10^12 could finish in any time, so each ends only if the sieve behind
+    # it grows as the sweep goes and each row is written as it is reached.
     for argv, first_line in [
         (["enumerate", "--max-order", "2000"], b"1\tZ1\t1\t1\n"),
+        (["enumerate", "--max-order", "1000000000000"], b"1\tZ1\t1\t1\n"),
         (["atlas", "--max-order", "1000000000000"], b"1\t1\tZ1\n"),
     ]:
         proc = subprocess.Popen(

@@ -21,7 +21,7 @@ from abelianaut import (
     ratio,
 )
 from abelianaut.enumeration import partitions, pgroup_shapes_up_to
-from helpers import hillar_rhea_aut_order, multiplicity
+from helpers import hillar_rhea_aut_order, hillar_rhea_valuation_parts, multiplicity
 
 
 # ---------------------------------------------------------------- shapes
@@ -171,6 +171,14 @@ def test_valuation_cyclic():
         for e in range(1, 7):
             v = p_valuation_of_aut(PGroupShape(p, (e,)))
             assert (v.n, v.d, v.c, v.total) == (1, 0, e - 1, e - 1)
+
+
+def test_valuation_parts_equal_the_position_sums():
+    # d and c one by one, not just their total
+    shapes = list(pgroup_shapes_up_to(4096))
+    assert len(shapes) == 938
+    for shape in shapes:
+        assert p_valuation_of_aut(shape) == hillar_rhea_valuation_parts(shape), shape
 
 
 def test_valuation_matches_repeated_division():

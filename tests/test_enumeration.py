@@ -105,7 +105,7 @@ def test_sweep_counts():
 
 @pytest.mark.parametrize("max_order, step", sorted(
     {(m, step) for m in (1, 300) for step in (1, 2, 6, 7, 30, m, m + 1)}))
-def test_groups_up_to_step_keeps_the_multiples_of_step(max_order, step):
+def test_sweep_step_keeps_the_multiples_of_step(max_order, step):
     # the stepped sweep realize reads: the step-1 records of the multiples of step
     want = [record for record in enumeration._sweep(max_order) if record[0] % step == 0]
     assert list(enumeration._sweep(max_order, step)) == want

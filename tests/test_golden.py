@@ -41,8 +41,8 @@ def test_atlas_csv_matches_golden_digest(capsys):
 
 def test_sieve_factorizations_equal_trial_division():
     got = list(factorizations_up_to(5000))
-    assert len(got) == 5000
-    for k, factors in enumerate(got, start=1):
+    assert [k for k, _ in got] == list(range(1, 5001))
+    for k, factors in got:
         want = factorize(k)
         assert factors == want, k
         assert list(factors) == list(want), k  # primes ascending in both
@@ -50,13 +50,13 @@ def test_sieve_factorizations_equal_trial_division():
 
 def test_sieve_factorizations_of_nothing():
     assert list(factorizations_up_to(0)) == []
-    assert list(factorizations_up_to(1)) == [{}]
+    assert list(factorizations_up_to(1)) == [(1, {})]
 
 
 def test_sieve_is_built_as_the_caller_goes():
     # A sieve of 10**12 entries up front would not fit in memory.
     first = factorizations_up_to(10**12)
-    assert [next(first) for _ in range(4)] == [{}, {2: 1}, {3: 1}, {2: 2}]
+    assert [next(first) for _ in range(4)] == [(1, {}), (2, {2: 1}), (3, {3: 1}), (4, {2: 2})]
 
 
 def test_sweep_is_groups_of_order_concatenated():
