@@ -24,7 +24,7 @@ from .core import (
     p_valuation_of_aut,
     ratio,
 )
-from .enumeration import groups_of_order, partitions
+from .enumeration import partitions
 from .oracle import BudgetExceeded, count_automorphisms
 from .search import (
     NotFoundWithinBounds,
@@ -52,7 +52,6 @@ __all__ = [
     "closed_form_ratio",
     "count_automorphisms",
     "factorize",
-    "groups_of_order",
     "is_prime",
     "p_valuation_of_aut",
     "partitions",

@@ -9,8 +9,8 @@ fixed-base primality test is proved exact.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from math import isqrt
-from typing import Iterator
 
 DEFAULT_TRIAL_DIVISOR_LIMIT = 10**6
 # Full factorization is certified for n <= DEFAULT_TRIAL_DIVISOR_LIMIT**2:

@@ -20,10 +20,10 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator
 
 from . import core, enumeration, oracle, search
 from .arith import FactorizationOverflow, InvalidModulus
@@ -387,7 +387,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_BOUND
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,13 +21,13 @@ floating point anywhere in this package.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import prod
-from typing import Iterable, Mapping
 
 from .arith import InvalidModulus, factorize, is_positive_int, is_prime
 

@@ -8,19 +8,18 @@ therefore rely on it for witness minimality.
 
 Each primary block is built and counted once, in a cached (p, a) table;
 a sweep folds the counts into each group's |Aut| prime by prime and
-hands out (order, blocks, |Aut|) records, building no GroupShape.
-:func:`groups_of_order` builds one per group; ``realize`` and
-``ratio_atlas`` build one per witness.
+hands out (order, blocks, |Aut|) records, building no GroupShape;
+``realize`` and ``ratio_atlas`` build one per witness.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 from itertools import chain, starmap
-from typing import Iterator
 
-from .arith import factorize, factorizations_up_to, is_positive_int, primes_up_to
-from .core import GroupShape, PGroupShape, aut_order_p
+from .arith import factorizations_up_to, is_positive_int, primes_up_to
+from .core import PGroupShape, aut_order_p
 
 _Record = tuple[int, tuple[PGroupShape, ...], int]  # (order, blocks, |Aut|)
 
@@ -73,28 +72,15 @@ def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
 
 
 def _groups(order: int, factors: dict[int, int]) -> list[_Record]:
-    """(order, blocks, |Aut|) per group of the order ``factors`` spells, in
-    :func:`groups_of_order` order, |Aut| folded prime by prime."""
+    """(order, blocks, |Aut|) per group of the order ``factors`` spells,
+    primes ascending, the partition of the largest prime varying fastest;
+    |Aut| folded prime by prime."""
     groups = [(order, (), 1)]
     for p, a in factors.items():
         table = _blocks(p, a)
         groups = [(order, blocks + (shape,), aut * block_aut)
                   for _, blocks, aut in groups for shape, block_aut in table]
     return groups
-
-
-def groups_of_order(order: int) -> Iterator[GroupShape]:
-    """Every abelian group of order exactly ``order``, one per iso class.
-
-    Deterministic: primes ascending, one partition stream per prime, the
-    partition of the largest prime varying fastest (folded prime by prime
-    in ``_groups``).
-    Order 1 yields exactly the trivial group.  An ``order`` that is not an
-    int >= 1 raises :class:`~abelianaut.arith.InvalidModulus` (a ValueError)
-    from ``factorize``.
-    """
-    for _, blocks, _ in _groups(order, factorize(order)):
-        yield GroupShape(blocks)
 
 
 def _sweep(max_order: int, step: int = 1) -> Iterator[_Record]:

@@ -57,10 +57,10 @@ distinct prefix subgroup.
 
 from __future__ import annotations
 
+from collections.abc import Sequence, Set
 from itertools import product
 from math import gcd
 from operator import add, mod
-from typing import AbstractSet, Sequence
 
 from .arith import is_positive_int
 from .core import PGroupShape
@@ -83,7 +83,7 @@ def _add(u: ElementVector, v: ElementVector, moduli: Sequence[int]) -> ElementVe
 
 
 def _extend(
-    subgroup: AbstractSet[ElementVector], g: ElementVector, moduli: Sequence[int]
+    subgroup: Set[ElementVector], g: ElementVector, moduli: Sequence[int]
 ) -> set[ElementVector]:
     """The subgroup generated by ``subgroup`` and ``g``.
 

@@ -78,12 +78,12 @@ as exactly that, never as unrealizable.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from numbers import Rational, Real
-from typing import Iterator
 
 from . import enumeration
 from .arith import FactorizationOverflow, factorize, is_prime

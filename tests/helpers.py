@@ -6,8 +6,11 @@ partitions, the multiplicity counter is plain repeated division, the
 subgroup closure is a breadth-first search under addition instead of the
 oracle's coset extension, the naive automorphism count tries every image
 tuple with that search instead of the oracle's slots and last-slot probe,
-the reference atlas counts every group through ``aut_order_p`` and a
-``Fraction`` instead of reading the enumeration's block table, and
+the reference enumerator ``groups_of_order`` crosses one partition stream
+per prime of a trial-division factorization with ``itertools.product``, so
+it shares no fold with the sweep's block table, the reference atlas counts
+each of its groups through ``aut_order_p`` and a ``Fraction`` instead of
+reading the table's |Aut|, and
 ``hillar_rhea_aut_order`` is Hillar and Rhea's product over exponent
 positions.  The library's ``aut_order_p`` takes its power of p from the
 level walk of ``p_valuation_of_aut``; the position formula shares nothing
@@ -15,23 +18,30 @@ with that walk, so it stays as the reference both are checked against,
 and ``hillar_rhea_valuation_parts`` reads the walk's d and c off its
 position products.
 ``screen_false_proofs`` states the ratios of the screens' named witnesses
-by hand and finds the totients it needs by counting.
+by hand and finds the totients it needs by counting.  ``package_imports``
+reads the names a module takes from the package off its source, so a test
+can pin what a layer may call.
 """
 
 from __future__ import annotations
 
+import ast
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
+from pathlib import Path
+from types import ModuleType
 
 from abelianaut import (
     GroupShape,
     PGroupShape,
     aut_order_p,
     canonicalize,
-    groups_of_order,
+    factorize,
+    partitions,
     ratio,
     ratio_atlas,
     screen,
@@ -145,6 +155,16 @@ def naive_automorphism_count(shape: PGroupShape) -> int:
     return count
 
 
+def groups_of_order(order: int) -> Iterator[GroupShape]:
+    """Every abelian group of order ``order``, one per isomorphism class, in
+    the sweep's order: primes ascending, the partition of the largest prime
+    varying fastest."""
+    per_prime = [[PGroupShape(p, exps) for exps in partitions(a)]
+                 for p, a in sorted(factorize(order).items())]
+    for blocks in product(*per_prime):
+        yield GroupShape(blocks)
+
+
 def reference_atlas(max_order: int) -> dict[Fraction, GroupShape]:
     """Ratio -> first witness, one order and one group at a time."""
     atlas: dict[Fraction, GroupShape] = {}
@@ -179,3 +199,18 @@ def screen_false_proofs(max_order: int) -> list[tuple[Fraction, GroupShape]]:
         if ratio(group) != stated or screen(stated) is not None:
             false.append((Fraction(stated), group))
     return false
+
+
+def package_imports(module: ModuleType) -> set[tuple[str, str | None]]:
+    """(module, name) for each import in ``module``'s source that reaches
+    into the package, relative (``.arith``) or by name (``abelianaut``)."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            imports.update((source, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imports.update((alias.name, None) for alias in node.names)
+    return {(source, name) for source, name in imports
+            if source.startswith((".", "abelianaut"))}

@@ -6,6 +6,7 @@ to tune anywhere in this file.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -21,7 +22,6 @@ from abelianaut import (
     classify,
     closed_form_ratio,
     count_automorphisms,
-    groups_of_order,
     is_prime,
     p_valuation_of_aut,
     partitions,
@@ -29,9 +29,11 @@ from abelianaut import (
     realize,
     screen,
 )
+from abelianaut import enumeration
 from abelianaut.arith import factorize, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
 from helpers import (
+    groups_of_order,
     hillar_rhea_aut_order,
     multiplicity,
     partition_count,
@@ -204,17 +206,15 @@ def test_criterion_7_search_behaviors():
 
 def test_criterion_8_enumeration_counts():
     """Streamed group counts match an independent partition recurrence."""
-    rng = random.Random(8)
+    got = Counter(order for order, _, _ in enumeration._sweep(10**4))
     bad = []
-    for _ in range(50):
-        n = rng.randint(1, 10**4)
+    for n in range(1, 10**4 + 1):
         expected = prod(partition_count(a) for a in factorize(n).values())
-        got = sum(1 for _ in groups_of_order(n))
-        if got != expected:
-            bad.append((n, got, expected))
-    ok = not bad
+        if got[n] != expected:
+            bad.append((n, got[n], expected))
+    ok = not bad and len(got) == 10**4
     _report(8, "enumeration counts vs partition recurrence", ok,
-            "50 random orders <= 10^4")
+            "every order <= 10^4")
     assert ok, bad
 
 

@@ -555,10 +555,10 @@ def test_public_api_is_exactly_these_names():
         "NotFoundWithinBounds", "PGroupClassKind", "PGroupShape",
         "UnrealizableReason", "aut_order", "aut_order_p", "canonicalize",
         "classify", "closed_form_ratio", "count_automorphisms", "factorize",
-        "groups_of_order", "is_prime", "p_valuation_of_aut", "partitions",
-        "primes_up_to", "ratio", "ratio_atlas", "realize", "screen",
+        "is_prime", "p_valuation_of_aut", "partitions", "primes_up_to",
+        "ratio", "ratio_atlas", "realize", "screen",
     ]
-    assert len(expected) == 24
+    assert len(expected) == 23
     assert abelianaut.__all__ == sorted(set(abelianaut.__all__))
     assert abelianaut.__all__ == expected
     for name in expected:

@@ -16,10 +16,10 @@ from abelianaut import (
     classify,
     closed_form_ratio,
     factorize,
-    groups_of_order,
     p_valuation_of_aut,
     ratio,
 )
+from abelianaut import enumeration
 from abelianaut.enumeration import partitions, pgroup_shapes_up_to
 from helpers import hillar_rhea_aut_order, hillar_rhea_valuation_parts, multiplicity
 
@@ -100,9 +100,9 @@ def test_canonicalize_errors():
 
 
 def test_canonicalize_idempotent_on_enumerated_groups():
-    for n in range(1, 201):
-        for g in groups_of_order(n):
-            assert canonicalize([f.p**e for f in g.factors for e in f.exponents]) == g
+    for _, blocks, _ in enumeration._sweep(200):
+        g = GroupShape(blocks)
+        assert canonicalize([f.p**e for f in g.factors for e in f.exponents]) == g
 
 
 # ------------------------------------------------------------ aut orders
@@ -283,6 +283,6 @@ def test_rank3_family_fails_at_i_1():
 
 
 def test_ratio_denominators_squarefree_small_sweep():
-    for n in range(1, 301):
-        for g in groups_of_order(n):
-            assert all(e == 1 for e in factorize(ratio(g).denominator).values())
+    for _, blocks, _ in enumeration._sweep(300):
+        g = GroupShape(blocks)
+        assert all(e == 1 for e in factorize(ratio(g).denominator).values())

@@ -1,18 +1,13 @@
-import random
+from collections import defaultdict
 from math import prod
 
 import pytest
 
-from abelianaut import (
-    FactorizationOverflow,
-    GroupShape,
-    groups_of_order,
-    partitions,
-)
+from abelianaut import GroupShape, partitions
 from abelianaut import enumeration
 from abelianaut.arith import factorize, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
-from helpers import partition_count
+from helpers import package_imports, partition_count
 
 
 # -------------------------------------------------------------- partitions
@@ -48,35 +43,48 @@ def test_partitions_no_duplicates():
 
 # ----------------------------------------------------------- groups by order
 
+def _by_order(max_order):
+    """The blocks of each record of the sweep to ``max_order``, per order."""
+    by_order = defaultdict(list)
+    for order, blocks, _ in enumeration._sweep(max_order):
+        by_order[order].append(blocks)
+    return by_order
+
+
 def test_groups_of_order_counts():
-    assert len(list(groups_of_order(16))) == 5
-    assert len(list(groups_of_order(54))) == 3
-    assert list(groups_of_order(1)) == [GroupShape()]
+    by_order = _by_order(54)
+    assert len(by_order[16]) == 5
+    assert len(by_order[54]) == 3
+    assert by_order[1] == [()]
 
 
-def test_groups_of_order_random_counts_match_partition_product():
-    rng = random.Random(424242)
-    for _ in range(40):
-        n = rng.randint(1, 2000)
+def test_groups_of_order_counts_match_partition_product():
+    by_order = _by_order(2000)
+    assert sorted(by_order) == list(range(1, 2001))
+    for n, groups in by_order.items():
         expected = prod(partition_count(a) for a in factorize(n).values())
-        assert len(list(groups_of_order(n))) == expected, n
+        assert len(groups) == expected, n
 
 
 def test_groups_of_order_all_have_right_order():
-    for n in (12, 16, 36, 360):
-        for g in groups_of_order(n):
-            assert g.order == n
+    for n, groups in _by_order(2000).items():
+        for blocks in groups:
+            assert GroupShape(blocks).order == n
 
 
 def test_groups_of_order_no_duplicates():
-    for n in (16, 64, 72, 720):
-        shapes = list(groups_of_order(n))
-        assert len(shapes) == len(set(shapes))
+    for n, groups in _by_order(2000).items():
+        assert len(groups) == len(set(groups)), n
 
 
-def test_groups_of_order_overflow():
-    with pytest.raises(FactorizationOverflow):
-        list(groups_of_order(10**13))
+def test_enumeration_imports_no_trial_division_or_group():
+    # The sweep reads its factorizations off the sieve and hands out plain
+    # records: from the package it takes the sieve, the integer rule, the
+    # primes, the block and its |Aut|, nothing that factors one order or
+    # builds a GroupShape.
+    assert package_imports(enumeration) == {
+        (".arith", "factorizations_up_to"), (".arith", "is_positive_int"),
+        (".arith", "primes_up_to"), (".core", "PGroupShape"), (".core", "aut_order_p")}
 
 
 # ----------------------------------------------------------- the sweep to N

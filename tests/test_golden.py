@@ -18,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from abelianaut import GroupShape, PGroupShape, aut_order, factorize, groups_of_order
+from abelianaut import GroupShape, PGroupShape, aut_order, factorize
 from abelianaut import enumeration
 from abelianaut.arith import factorizations_up_to
 from abelianaut.cli import main
+from helpers import groups_of_order
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,7 +60,9 @@ def test_sieve_is_built_as_the_caller_goes():
     assert [next(first) for _ in range(4)] == [(1, {}), (2, {2: 1}), (3, {3: 1}), (4, {2: 2})]
 
 
-def test_sweep_is_groups_of_order_concatenated():
+def test_sweep_is_the_reference_enumeration_concatenated():
+    # the reference crosses partition streams per prime, with no block table:
+    # this pins which groups the sweep yields, and in what order
     want = chain.from_iterable(
         ((n, g) for g in groups_of_order(n)) for n in range(1, 2001))
     got = [(order, GroupShape(blocks), aut)

@@ -1,14 +1,12 @@
-import ast
 import gc
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from abelianaut import BudgetExceeded, PGroupShape, aut_order_p, count_automorphisms
 from abelianaut import oracle
-from helpers import bfs_closure, bfs_subgroup, naive_automorphism_count
+from helpers import bfs_closure, bfs_subgroup, naive_automorphism_count, package_imports
 
 Z2xZ4 = PGroupShape(2, (1, 2))
 
@@ -200,14 +198,4 @@ def test_oracle_imports_no_formula():
     # The oracle's agreement with aut_order_p is evidence only while it
     # shares no logic with the formulas: from the package it takes the
     # integer rule and the shape record, nothing else.
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    imports = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imports.update((module, alias.name) for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imports.update((alias.name, None) for alias in node.names)
-    package = {(module, name) for module, name in imports
-               if module.startswith((".", "abelianaut"))}
-    assert package == {(".arith", "is_positive_int"), (".core", "PGroupShape")}
+    assert package_imports(oracle) == {(".arith", "is_positive_int"), (".core", "PGroupShape")}

@@ -12,7 +12,6 @@ from abelianaut import (
     UnrealizableReason,
     count_automorphisms,
     factorize,
-    groups_of_order,
     is_prime,
     partitions,
     primes_up_to,
@@ -177,10 +176,13 @@ def test_realize_time_budget_maps_to_not_found():
 
 
 def test_realize_factors_the_sweep_off_the_sieve(monkeypatch):
-    def trial_division(n):
-        raise AssertionError(f"trial division of {n}")
+    # the sieve factors only its step, 1 for the target 10; a sieve that
+    # fell back to trial division per order would factor every order
+    def step_only(n):
+        assert n == 1, f"trial division of {n}"
+        return factorize(n)
 
-    monkeypatch.setattr("abelianaut.enumeration.factorize", trial_division)
+    monkeypatch.setattr("abelianaut.arith.factorize", step_only)
     v = realize(Fraction(10), max_order=10**4)
     assert v == NotFoundWithinBounds(max_order_searched=10**4)
 
@@ -219,11 +221,10 @@ def test_a_bad_max_order_is_refused_by_name_without_the_sweeps_step(call):
     lambda v: list(enumeration._sweep(4, v)),
     lambda v: ratio_atlas(v),
     lambda v: list(search._first_witnesses(v)),
-    lambda v: list(groups_of_order(v)),
     lambda v: list(partitions(v)),
     lambda v: list(enumeration.pgroup_shapes_up_to(v)),
 ], ids=["search-max-order", "oracle-budget", "sweep-max-order", "sweep-step", "atlas",
-        "first-witnesses", "groups-of-order", "partitions", "pgroup-shapes"])
+        "first-witnesses", "partitions", "pgroup-shapes"])
 def test_bounds_take_only_integers_from_1(entry, bad):
     # a bool is an int to Python, but True as a bound is a caller's mistake
     with pytest.raises(ValueError):
