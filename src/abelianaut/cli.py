@@ -25,11 +25,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-from . import core, enumeration, oracle, search
-from .arith import FactorizationOverflow, InvalidModulus
-from .core import GroupShape, PGroupClassKind, PGroupShape
-from .oracle import BudgetExceeded
-from .search import UnrealizableReason
+from . import arith, core, enumeration, oracle, search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +44,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-def parse_group(text: str) -> GroupShape:
+def parse_group(text: str) -> core.GroupShape:
     """Parse expressions like ``Z2xZ3xZ9`` into a canonical GroupShape.
 
     Factors are ``Z<n>`` or ``C<n>`` separated by ``x`` or ``*``;
@@ -137,10 +133,10 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _class_label(block: PGroupShape) -> str:
+def _class_label(block: core.PGroupShape) -> str:
     """The classify column: the kind, with e appended as ``(e)`` for Z_p x Z_{p^e}."""
     kind = core.classify(block)
-    if kind is PGroupClassKind.ZP_TIMES_HIGHER:
+    if kind is core.PGroupClassKind.ZP_TIMES_HIGHER:
         return f"{kind.value}({block.exponents[1]})"
     return kind.value
 
@@ -188,7 +184,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     target = parse_ratio_target(args.target)
     verdict = search.realize(target, args.max_order, args.time_limit)
-    if isinstance(verdict, GroupShape):
+    if isinstance(verdict, core.GroupShape):
         row = {
             "verdict": "witness",
             "group": str(verdict),
@@ -197,7 +193,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "ratio_den": target.denominator,
         }
         text = f"witness: {row['group']} (order {row['order']}), ratio {target}"
-    elif isinstance(verdict, UnrealizableReason):
+    elif isinstance(verdict, search.UnrealizableReason):
         row = {"verdict": "unrealizable", "reason": verdict.value}
         text = f"unrealizable ({verdict.value}): {verdict.explanation}"
     else:
@@ -222,14 +218,13 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     checked = 0
     skipped = 0
-    mismatches: list[tuple[PGroupShape, int, int]] = []
-    for shape in enumeration.pgroup_shapes_up_to(args.max_order):
+    mismatches: list[tuple[core.PGroupShape, int, int]] = []
+    for shape, expected in enumeration.pgroup_shapes_up_to(args.max_order):
         try:
             counted = oracle.count_automorphisms(shape, args.budget)
-        except BudgetExceeded:
+        except oracle.BudgetExceeded:
             skipped += 1
             continue
-        expected = core.aut_order_p(shape)
         checked += 1
         if expected != counted:
             mismatches.append((shape, expected, counted))
@@ -378,10 +373,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except (ParseError, InvalidModulus) as exc:
+    except (ParseError, arith.InvalidModulus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FactorizationOverflow as exc:
+    except arith.FactorizationOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except MemoryError:

@@ -6,10 +6,12 @@ duplicate-free by construction.  The order of emission is deterministic
 and documented, because downstream searches return the first hit and
 therefore rely on it for witness minimality.
 
-Each primary block is built and counted once, in a cached (p, a) table;
-a sweep folds the counts into each group's |Aut| prime by prime and
-hands out (order, blocks, |Aut|) records, building no GroupShape;
-``realize`` and ``ratio_atlas`` build one per witness.
+Each primary block is built and counted once, in a cached (p, a) table
+that atlas, enumerate, search and verify all read.  A sweep folds the
+counts into each group's |Aut| prime by prime and hands out
+(order, blocks, |Aut|) records, building no GroupShape (``realize`` and
+``ratio_atlas`` build one per witness); :func:`pgroup_shapes_up_to` hands
+verify the table's own (block, |Aut|) records to check against the oracle.
 """
 
 from __future__ import annotations
@@ -48,14 +50,16 @@ def _ascending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
 @cache
 def _blocks(p: int, a: int) -> tuple[tuple[PGroupShape, int], ...]:
     """(block, |Aut(block)|) for each p-group of order p^a, in :func:`partitions`
-    order.  Counted by the ``aut_order_p`` bound at import, so rebinding
+    order: the one count of each block that the sweeps and verify read.
+    Counted by the ``aut_order_p`` bound at import, so rebinding
     ``core.aut_order_p`` cannot leave a wrong count in the cache."""
     shapes = [PGroupShape(p, exps) for exps in partitions(a)]
     return tuple(zip(shapes, map(aut_order_p, shapes)))
 
 
-def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
-    """Every abelian p-group of order <= ``max_order``, each exactly once.
+def pgroup_shapes_up_to(max_order: int) -> Iterator[tuple[PGroupShape, int]]:
+    """(block, |Aut(block)|) of the table for every abelian p-group of order
+    <= ``max_order``, each exactly once.
 
     Primes ascending, then the exponent a of |G| = p^a ascending, then
     :func:`partitions` order within one p^a.  ``max_order`` must be an int
@@ -66,8 +70,7 @@ def pgroup_shapes_up_to(max_order: int) -> Iterator[PGroupShape]:
     for p in primes_up_to(max_order):
         a = 1
         while p**a <= max_order:
-            for shape, _ in _blocks(p, a):
-                yield shape
+            yield from _blocks(p, a)
             a += 1
 
 

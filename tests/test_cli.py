@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abelianaut
-from abelianaut import GroupShape, core, enumeration
+from abelianaut import GroupShape, cli, enumeration
 from abelianaut.cli import ParseError, main, parse_group, parse_ratio_target
 from abelianaut.enumeration import pgroup_shapes_up_to
+from helpers import package_imports
 
 
 # ------------------------------------------------------------ group parsing
@@ -212,7 +213,7 @@ def test_classify_row_is_the_label_of_the_exponents(fmt):
     # One call per k classifies the group made of the k-th shape of every
     # prime, so every p-group shape of order <= 4096 is one row somewhere.
     by_prime: dict[int, list] = {}
-    for shape in pgroup_shapes_up_to(4096):
+    for shape, _ in pgroup_shapes_up_to(4096):
         by_prime.setdefault(shape.p, []).append(shape)
     assert sum(map(len, by_prime.values())) == 938
     for k in range(len(by_prime[2])):
@@ -398,8 +399,13 @@ def test_verify_json(capsys):
 
 
 def test_verify_reports_and_exits_3_on_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(core, "aut_order_p", lambda shape: 1)
-    assert main(["verify", "--max-order", "4"]) == 3
+    # verify checks the block table's counts, so a wrong count goes in there
+    enumeration._blocks.cache_clear()
+    monkeypatch.setattr(enumeration, "aut_order_p", lambda shape: 1)
+    try:
+        assert main(["verify", "--max-order", "4"]) == 3
+    finally:
+        enumeration._blocks.cache_clear()  # no later test reads a count of 1
     captured = capsys.readouterr()
     assert "MISMATCH" in captured.err
     assert "mismatches=0" not in captured.out
@@ -547,6 +553,13 @@ def test_package_imports_with_the_standard_library_alone():
         [sys.executable, "-S", "-c", "import abelianaut.cli, abelianaut.oracle"],
         capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_cli_names_each_package_module_once():
+    # The front end reaches every library name through its module, so each
+    # module is imported once and no name has two spellings.
+    assert package_imports(cli) == {
+        (".", "arith"), (".", "core"), (".", "enumeration"), (".", "oracle"), (".", "search")}
 
 
 def test_public_api_is_exactly_these_names():

@@ -174,15 +174,17 @@ def test_valuation_cyclic():
 
 
 def test_valuation_parts_equal_the_position_sums():
-    # d and c one by one, not just their total
-    shapes = list(pgroup_shapes_up_to(4096))
-    assert len(shapes) == 938
-    for shape in shapes:
+    # d and c one by one, not just their total; and the block table's |Aut|
+    # of each shape, the count the sweeps print and verify checks
+    records = list(pgroup_shapes_up_to(4096))
+    assert len(records) == 938
+    for shape, aut in records:
         assert p_valuation_of_aut(shape) == hillar_rhea_valuation_parts(shape), shape
+        assert aut == hillar_rhea_aut_order(shape), shape
 
 
 def test_valuation_matches_repeated_division():
-    for shape in pgroup_shapes_up_to(256):
+    for shape, _ in pgroup_shapes_up_to(256):
         v = p_valuation_of_aut(shape)
         assert v.total == multiplicity(hillar_rhea_aut_order(shape), shape.p), shape
 
@@ -224,7 +226,7 @@ def test_classify_patterns():
 
 
 def test_classify_exactly_one_tag_per_shape():
-    for shape in pgroup_shapes_up_to(512):
+    for shape, _ in pgroup_shapes_up_to(512):
         assert isinstance(classify(shape), PGroupClassKind)
 
 
@@ -243,7 +245,7 @@ def test_closed_forms_match_general_formula_small():
             expected = closed_form_ratio(shape)
             assert expected is not None
             assert ratio(GroupShape((shape,))) == expected, shape
-    for shape in pgroup_shapes_up_to(4096):
+    for shape, _ in pgroup_shapes_up_to(4096):
         expected = closed_form_ratio(shape)
         if classify(shape) is PGroupClassKind.GENERAL:
             assert expected is None, shape

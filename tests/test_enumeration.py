@@ -141,7 +141,7 @@ def test_pgroup_shapes_up_to_counts_match_partition_function():
 
 
 def test_pgroup_shapes_up_to_order_and_bound():
-    shapes = list(pgroup_shapes_up_to(9))
+    shapes = [shape for shape, _ in pgroup_shapes_up_to(9)]
     assert [(s.p, s.exponents) for s in shapes] == [
         (2, (1,)), (2, (2,)), (2, (1, 1)), (2, (3,)), (2, (1, 2)), (2, (1, 1, 1)),
         (3, (1,)), (3, (2,)), (3, (1, 1)), (5, (1,)), (7, (1,))]

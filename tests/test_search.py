@@ -289,7 +289,7 @@ def test_atlas_equals_the_per_group_reference_in_order():
 def test_block_table_keeps_no_patched_count(monkeypatch, capsys):
     enumeration._blocks.cache_clear()
     monkeypatch.setattr(core, "aut_order_p", lambda shape: 1)
-    assert main(["verify", "--max-order", "4"]) == 3  # verify reads the patch
+    assert main(["verify", "--max-order", "4"]) == 0  # verify reads the table
     ratio_atlas(16)
     monkeypatch.undo()
     assert list(ratio_atlas(64).items()) == list(
