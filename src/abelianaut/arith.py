@@ -31,11 +31,17 @@ def is_positive_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-# The first 13 primes as bases make the strong-pseudoprime test exact for
-# every n below psi_13 = 3317044064679887385961981, the least strong
-# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
-_STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_STRONG_BASES_BOUND = 3317044064679887385961981
+# (a_k, psi_k): the k-th prime base and psi_k, the least strong pseudoprime
+# to all of a_1, ..., a_k (OEIS A014233), so the first k bases are exact
+# below psi_k.  psi_13 = 3317044064679887385961981 bounds the test
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_STRONG_BASES = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751),
+    (11, 2152302898747), (13, 3474749660383), (17, 341550071728321),
+    (19, 341550071728321), (23, 3825123056546413051),
+    (29, 3825123056546413051), (31, 3825123056546413051),
+    (37, 318665857834031151167461), (41, 3317044064679887385961981),
+)
 
 
 def is_prime(n: int) -> bool:
@@ -45,35 +51,37 @@ def is_prime(n: int) -> bool:
     an int below 2 is not prime.  Exact for every n below psi_13 =
     3317044064679887385961981 and for every n that a base prime (2 up to
     41) divides; any other n from psi_13 on raises
-    :class:`FactorizationOverflow` instead of guessing.
+    :class:`FactorizationOverflow` instead of guessing.  The bases are
+    tried in turn, and the test stops after the k-th once n < psi_k.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"need an int, got {n!r}")
     if n < 2:
         return False
-    for p in _STRONG_BASES:
+    for p, _ in _STRONG_BASES:
         if n % p == 0:
             return n == p
-    if n >= _STRONG_BASES_BOUND:
+    bound = _STRONG_BASES[-1][1]
+    if n >= bound:
         raise FactorizationOverflow(
-            f"{n} is not below {_STRONG_BASES_BOUND}, "
-            "the bound of the deterministic primality test"
+            f"{n} is not below {bound}, the bound of the deterministic primality test"
         )
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _STRONG_BASES:
+    for a, psi in _STRONG_BASES:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 

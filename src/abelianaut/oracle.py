@@ -49,21 +49,24 @@ Each H of the last level is probed once; each j = q/p scales the slot once.
 
 Nothing here shares logic with the closed-form path in :mod:`.core` --
 no formula, no matrix bookkeeping -- which is what makes agreement
-between the two paths meaningful evidence.  The candidate space is
-|G|^rank tuples, and an explicit budget on that number guards every call,
-although the count closes far fewer subgroups: one per coset of each
-distinct prefix subgroup.
+between the two paths meaningful evidence.  Of a block the count reads
+its prime and its ascending exponents and nothing else: |G| and the rank
+come from the moduli p^e_i, the prime is trusted as ``PGroupShape``
+validates it, and the package's one import here is the integer rule
+``is_positive_int``.  The candidate space is |G|^rank tuples, and an
+explicit budget on that number guards every call, although the count
+closes far fewer subgroups: one per coset of each distinct prefix
+subgroup.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence, Set
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import add, mod
 
 from .arith import is_positive_int
-from .core import PGroupShape
 
 # One residue per cyclic factor, coordinate i in [0, p^e_i).
 ElementVector = tuple[int, ...]
@@ -99,9 +102,12 @@ def _extend(
     return out
 
 
-def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int:
+def count_automorphisms(shape, budget: int = DEFAULT_BUDGET) -> int:
     """|Aut(G)| by direct enumeration of generator-image tuples.
 
+    ``shape`` gives G = Z_{p^e_1} x ... x Z_{p^e_n} by two fields and no
+    more: the prime ``shape.p`` and the ascending ``shape.exponents``
+    e_1 <= ... <= e_n, as a ``PGroupShape`` holds them.
     ``budget`` (an int >= 1) caps |G|^rank, the raw candidate-tuple count.
     Raises :class:`BudgetExceeded` when |G|^rank exceeds it; the caller is
     expected to skip the shape, not to approximate.  The count, one slot
@@ -109,14 +115,13 @@ def count_automorphisms(shape: PGroupShape, budget: int = DEFAULT_BUDGET) -> int
     """
     if not is_positive_int(budget):
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
-    size = shape.order
-    n = shape.rank
+    p = shape.p
+    moduli = [p**e for e in shape.exponents]
+    size, n = prod(moduli), len(moduli)
     if size**n > budget:
         raise BudgetExceeded(
             f"|G|^rank = {size}^{n} exceeds the budget of {budget} candidate tuples"
         )
-    p = shape.p
-    moduli = [p**e for e in shape.exponents]
     # Slot i admits exactly the elements killed by m_i = p^e_i: those whose
     # j-th coordinate is a multiple of m_j / gcd(m_j, m_i).
     slots = [list(product(*(range(0, m, m // gcd(m, mi)) for m in moduli)))

@@ -4,9 +4,11 @@ These deliberately avoid the library's own code paths: the partition
 counter uses the pentagonal-number recurrence instead of generating
 partitions, the multiplicity counter is plain repeated division, the
 subgroup closure is a breadth-first search under addition instead of the
-oracle's coset extension, the naive automorphism count tries every image
-tuple with that search instead of the oracle's slots and last-slot probe,
-the reference enumerator ``groups_of_order`` crosses one partition stream
+oracle's coset extension, the naive automorphism count tries every
+endomorphism's image tuple with that search instead of the oracle's
+cosets and last-slot probe, ``invariant_factors`` swaps pairs of moduli
+for their gcd and lcm where ``canonicalize`` factors each modulus, the
+reference enumerator ``groups_of_order`` crosses one partition stream
 per prime of a trial-division factorization with ``itertools.product``, so
 it shares no fold with the sweep's block table, the reference atlas counts
 each of its groups through ``aut_order_p`` and a ``Fraction`` instead of
@@ -31,7 +33,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 from types import ModuleType
 
@@ -118,9 +120,9 @@ def _positions(exps: tuple[int, ...]) -> tuple[list[int], list[int]]:
             [bisect_left(exps, e) + 1 for e in exps])
 
 
-def bfs_subgroup(generators, shape: PGroupShape) -> set[tuple[int, ...]]:
-    """The subgroup generated, by closure under addition from zero."""
-    moduli = [shape.p**e for e in shape.exponents]
+def bfs_subgroup(generators, moduli) -> set[tuple[int, ...]]:
+    """The subgroup of Z_{m_1} x ... x Z_{m_t} generated, by closure under
+    addition from zero."""
     gens = [tuple(g) for g in generators]
     zero = (0,) * len(moduli)
     seen = {zero}
@@ -134,25 +136,43 @@ def bfs_subgroup(generators, shape: PGroupShape) -> set[tuple[int, ...]]:
     return seen
 
 
-def bfs_closure(generators, shape: PGroupShape) -> int:
+def bfs_closure(generators, moduli) -> int:
     """Order of the subgroup generated, by closure under addition from zero."""
-    return len(bfs_subgroup(generators, shape))
+    return len(bfs_subgroup(generators, moduli))
 
 
-def naive_automorphism_count(shape: PGroupShape) -> int:
-    """|Aut(G)| from all |G|^n image tuples, one breadth-first closure each.
-
-    A tuple defines an endomorphism when its i-th image is killed by
-    p^e_i, and an automorphism when the images generate all of G.
-    """
-    moduli = [shape.p**e for e in shape.exponents]
+def image_slots(moduli) -> list[list[tuple[int, ...]]]:
+    """For each i, the elements of Z_{m_1} x ... x Z_{m_t} killed by m_i,
+    filtered from all of them: the images the i-th generator may take."""
     elements = list(product(*(range(m) for m in moduli)))
-    count = 0
-    for images in product(elements, repeat=len(moduli)):
-        if all(c * mi % m == 0 for g, mi in zip(images, moduli)
-               for c, m in zip(g, moduli)):
-            count += bfs_closure(images, shape) == shape.order
-    return count
+    return [[g for g in elements if all(c * mi % m == 0 for c, m in zip(g, moduli))]
+            for mi in moduli]
+
+
+def naive_automorphism_count(moduli) -> int:
+    """|Aut(Z_{m_1} x ... x Z_{m_t})| from every endomorphism's image tuple,
+    one breadth-first closure each.
+
+    A tuple defines an endomorphism when its i-th image is killed by m_i,
+    and an automorphism when the images generate all of G.
+    """
+    size = prod(moduli)
+    return sum(bfs_closure(images, moduli) == size
+               for images in product(*image_slots(moduli)))
+
+
+def invariant_factors(moduli) -> list[int]:
+    """d_1 | d_2 | ... with Z_{d_1} x Z_{d_2} x ... isomorphic to the product
+    of the Z_m: replace a pair (m_i, m_j), i < j, by (gcd, lcm) until each
+    divides the next, then drop the 1s."""
+    ms = list(moduli)
+    while True:
+        pair = next(((i, j) for i in range(len(ms)) for j in range(i + 1, len(ms))
+                     if ms[j] % ms[i]), None)
+        if pair is None:
+            return [m for m in ms if m > 1]
+        i, j = pair
+        ms[i], ms[j] = gcd(ms[i], ms[j]), lcm(ms[i], ms[j])
 
 
 def groups_of_order(order: int) -> Iterator[GroupShape]:

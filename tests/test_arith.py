@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -30,6 +31,41 @@ def test_is_prime_matches_sieve_to_10000():
     sieve = set(primes_up_to(10_000))
     for n in range(2, 10_001):
         assert is_prime(n) == (n in sieve), n
+
+
+# psi_k of OEIS A014233, the least strong pseudoprime to the first k prime
+# bases, for k = 1..13, written out here apart from the table in arith
+_PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981]
+_FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_equals_trial_division_below_2_10_5():
+    for n in range(200_000):
+        expected = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert is_prime(n) == expected, n
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_psi_k_passes_the_first_k_bases_and_is_not_prime(k):
+    # a test that stopped after k bases at n = psi_k would call it prime
+    psi = _PSI[k - 1]
+    assert all(_strong_probable_prime(psi, a) for a in _FIRST_PRIMES[:k])
+    if k < 13:
+        assert not is_prime(psi)
+    else:
+        with pytest.raises(FactorizationOverflow):
+            is_prime(psi)
 
 
 def test_is_prime_large():

@@ -21,7 +21,16 @@ from abelianaut import (
 )
 from abelianaut import enumeration
 from abelianaut.enumeration import partitions, pgroup_shapes_up_to
-from helpers import hillar_rhea_aut_order, hillar_rhea_valuation_parts, multiplicity
+from abelianaut.cli import parse_group
+from helpers import (
+    groups_of_order,
+    hillar_rhea_aut_order,
+    hillar_rhea_valuation_parts,
+    image_slots,
+    invariant_factors,
+    multiplicity,
+    naive_automorphism_count,
+)
 
 
 # ---------------------------------------------------------------- shapes
@@ -288,3 +297,31 @@ def test_ratio_denominators_squarefree_small_sweep():
     for _, blocks, _ in enumeration._sweep(300):
         g = GroupShape(blocks)
         assert all(e == 1 for e in factorize(ratio(g).denominator).values())
+
+
+# ------------------------------------------ whole groups, by the definition
+
+def test_invariant_factors_examples():
+    assert invariant_factors([]) == []
+    assert invariant_factors([1, 1]) == []
+    assert invariant_factors([12, 18]) == [6, 36]
+    assert invariant_factors([2, 4, 3, 9]) == [6, 36]
+    assert invariant_factors([4, 2, 8, 2]) == [2, 2, 4, 8]
+
+
+def test_whole_groups_against_the_definition():
+    # every group of order <= 64 whose endomorphisms number at most 2,000:
+    # its |Aut| counted on its invariant factors, the CRT split of those
+    # factors, and its own name read back
+    checked = 0
+    for order in range(1, 65):
+        for group in groups_of_order(order):
+            moduli = invariant_factors(
+                [block.p**e for block in group.factors for e in block.exponents])
+            if prod(map(len, image_slots(moduli))) > 2000:
+                continue
+            checked += 1
+            assert naive_automorphism_count(moduli) == aut_order(group), group
+            assert canonicalize(moduli) == group, group
+            assert parse_group(str(group)) == group, group
+    assert checked == 97

@@ -86,7 +86,8 @@ _SEARCH_TARGETS = [
     "108/247", "37800/31", "498/499", "17856", "2/4", "6/3", " 3 / 2 ",
     # screened: a squared prime in the denominator, or an odd prime
     "1/4", "3/8", "9/4", "25/18", "5/9", "3", "5", "7", "11", "101", "1000000007",
-    # no witness of order <= 500
+    # screened (9, 7/6, 15, 27, 3/5, 1/7, 5/6, 999, 318665857834031151167461),
+    # or no witness of order <= 500 (10, 22, 26, 176, 100/3)
     "9", "7/6", "10", "22", "26", "176", "15", "27", "3/5", "1/7", "5/6", "100/3",
     "999", "318665857834031151167461",
     # past a bound (exit 2) and bad input (exit 1)

@@ -1,12 +1,19 @@
 import gc
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from abelianaut import BudgetExceeded, PGroupShape, aut_order_p, count_automorphisms
 from abelianaut import oracle
-from helpers import bfs_closure, bfs_subgroup, naive_automorphism_count, package_imports
+from helpers import (
+    bfs_closure,
+    bfs_subgroup,
+    image_slots,
+    naive_automorphism_count,
+    package_imports,
+)
 
 Z2xZ4 = PGroupShape(2, (1, 2))
 
@@ -52,16 +59,18 @@ def test_subgroup_closure_equals_breadth_first_closure():
     shapes = [Z2xZ4, PGroupShape(2, (1, 1, 1, 1)), PGroupShape(2, (2, 3)),
               PGroupShape(3, (1, 1, 2)), PGroupShape(5, (1, 2)), PGroupShape(7, (2,))]
     for shape in shapes:
+        moduli = [shape.p**e for e in shape.exponents]
         vectors = _all_vectors(shape)
         for _ in range(40):
             gens = [rng.choice(vectors) for _ in range(rng.randint(0, 4))]
-            assert _closure(gens, shape) == bfs_subgroup(gens, shape), (shape, gens)
+            assert _closure(gens, shape) == bfs_subgroup(gens, moduli), (shape, gens)
 
 
 def test_subgroup_closure_single_generator_is_its_order():
     for shape in [Z2xZ4, PGroupShape(3, (1, 2))]:
+        moduli = [shape.p**e for e in shape.exponents]
         for v in _all_vectors(shape):
-            assert len(_closure([v], shape)) == bfs_closure([v], shape)
+            assert len(_closure([v], shape)) == bfs_closure([v], moduli)
 
 
 # --------------------------------------------------- automorphism counting
@@ -121,8 +130,8 @@ def test_count_bounded_by_candidate_space():
     (3, (3,)), (2, (1, 2, 2)), (2, (1, 1, 3)),
 ])
 def test_count_equals_the_naive_count_over_every_image_tuple(p, exps):
-    shape = PGroupShape(p, exps)
-    assert count_automorphisms(shape) == naive_automorphism_count(shape)
+    moduli = [p**e for e in exps]
+    assert count_automorphisms(PGroupShape(p, exps)) == naive_automorphism_count(moduli)
 
 
 def test_last_slot_completion_is_one_probe_at_q_over_p():
@@ -137,11 +146,11 @@ def test_last_slot_completion_is_one_probe_at_q_over_p():
         vectors = _all_vectors(shape)
         for _ in range(15):
             gens = [rng.choice(vectors) for _ in range(rng.randint(0, shape.rank))]
-            h = bfs_subgroup(gens, shape)
+            h = bfs_subgroup(gens, moduli)
             q = shape.order // len(h)
             seen_q.add(q)
             for g in vectors:
-                generates = bfs_closure(gens + [g], shape) == shape.order
+                generates = bfs_closure(gens + [g], moduli) == shape.order
                 j = q // shape.p
                 probe = q == 1 or tuple(c * j % m for c, m in zip(g, moduli)) not in h
                 assert generates == probe, (shape, gens, g)
@@ -154,19 +163,17 @@ def test_prefix_subgroup_lies_in_the_next_slot_and_cosets_close_alike():
     rng = random.Random(3142)
     for shape in [PGroupShape(2, (1, 2, 3)), PGroupShape(3, (1, 2, 2))]:
         moduli = [shape.p**e for e in shape.exponents]
-        vectors = _all_vectors(shape)
-        slots = [[v for v in vectors if all(c * mi % m == 0 for c, m in zip(v, moduli))]
-                 for mi in moduli]
+        slots = image_slots(moduli)
         for _ in range(8):
             i = rng.randint(1, shape.rank - 1)
             prefix = [rng.choice(slots[j]) for j in range(i)]
-            h = bfs_subgroup(prefix, shape)
+            h = bfs_subgroup(prefix, moduli)
             assert h <= set(slots[i]), (shape, prefix)
             for g in rng.sample(slots[i], 4):
-                closed = bfs_subgroup(prefix + [g], shape)
+                closed = bfs_subgroup(prefix + [g], moduli)
                 for x in h:
                     gx = tuple((a + b) % m for a, b, m in zip(g, x, moduli))
-                    assert bfs_subgroup(prefix + [gx], shape) == closed, (shape, prefix, g, x)
+                    assert bfs_subgroup(prefix + [gx], moduli) == closed, (shape, prefix, g, x)
 
 
 @pytest.mark.parametrize("p, exps, closures", [
@@ -197,5 +204,14 @@ def test_count_closes_each_subgroup_and_coset_once_per_slot(monkeypatch, p, exps
 def test_oracle_imports_no_formula():
     # The oracle's agreement with aut_order_p is evidence only while it
     # shares no logic with the formulas: from the package it takes the
-    # integer rule and the shape record, nothing else.
-    assert package_imports(oracle) == {(".arith", "is_positive_int"), (".core", "PGroupShape")}
+    # integer rule, nothing else, and of a block it reads p and exponents.
+    assert package_imports(oracle) == {(".arith", "is_positive_int")}
+
+
+def test_oracle_reads_only_the_prime_and_the_exponents():
+    # a bare record with the two fields counts and refuses as the shape does
+    for p, exps in [(2, (1, 2, 3)), (3, (1, 1)), (5, (2,))]:
+        block = SimpleNamespace(p=p, exponents=exps)
+        assert count_automorphisms(block) == aut_order_p(PGroupShape(p, exps))
+    with pytest.raises(BudgetExceeded, match=r"\|G\|\^rank = 4\^2 exceeds the budget of 15 "):
+        count_automorphisms(SimpleNamespace(p=2, exponents=(1, 1)), 15)
