@@ -22,7 +22,6 @@ floating point anywhere in this package.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -32,8 +31,47 @@ from math import prod
 from .arith import InvalidModulus, factorize, is_positive_int, is_prime
 
 
-@dataclass(frozen=True, slots=True)
-class PGroupShape:
+class _FrozenValue:
+    """Base of the immutable value classes: a subclass names its fields as
+    both ``__slots__`` and ``__match_args__`` and sets them in ``__init__``
+    through :meth:`_freeze`.  An instance equals only its own class with
+    equal fields, hashes as its field tuple, has no ordering, refuses
+    assignment and deletion, and pickles and copies through its constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _freeze(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class PGroupShape(_FrozenValue):
     """A finite abelian p-group: a prime and a sorted exponent partition.
 
     ``PGroupShape(3, (1, 2))`` is Z_3 x Z_9.  Exponents may be given in any
@@ -41,18 +79,17 @@ class PGroupShape:
     every formula below assumes.
     """
 
-    p: int
-    exponents: tuple[int, ...]
+    __slots__ = __match_args__ = ("p", "exponents")
 
-    def __post_init__(self) -> None:
-        exps = tuple(self.exponents)
+    def __init__(self, p: int, exponents: tuple[int, ...]) -> None:
+        exps = tuple(exponents)
         if not exps:
             raise ValueError("exponent partition must be nonempty")
         if not all(map(is_positive_int, exps)):
             raise ValueError(f"exponents must be positive integers, got {exps!r}")
-        if not is_positive_int(self.p) or not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p!r}")
-        object.__setattr__(self, "exponents", tuple(sorted(exps)))
+        if not is_positive_int(p) or not is_prime(p):
+            raise ValueError(f"p must be prime, got {p!r}")
+        self._freeze(p, tuple(sorted(exps)))
 
     @property
     def rank(self) -> int:
@@ -67,8 +104,7 @@ class PGroupShape:
         return _block_text(self.p, self.exponents)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupShape:
+class GroupShape(_FrozenValue):
     """A finite abelian group as its canonical per-prime decomposition.
 
     Factors are kept sorted by prime; the empty product is the trivial
@@ -76,15 +112,15 @@ class GroupShape:
     (no per-instance dict), since the ratio atlas keeps one per ratio.
     """
 
-    factors: tuple[PGroupShape, ...] = ()
+    __slots__ = __match_args__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        if any(not isinstance(f, PGroupShape) for f in self.factors):
+    def __init__(self, factors: tuple[PGroupShape, ...] = ()) -> None:
+        if any(not isinstance(f, PGroupShape) for f in factors):
             raise TypeError("factors must be PGroupShape instances")
-        factors = tuple(sorted(self.factors, key=lambda f: f.p))
+        factors = tuple(sorted(factors, key=lambda f: f.p))
         if any(a.p == b.p for a, b in zip(factors, factors[1:])):
             raise ValueError("one factor per prime; merge exponent lists instead")
-        object.__setattr__(self, "factors", factors)
+        self._freeze(factors)
 
     @classmethod
     def from_exponents(cls, parts: Mapping[int, Iterable[int]]) -> "GroupShape":
@@ -106,8 +142,7 @@ class GroupShape:
         return blocks_text(self.factors)
 
 
-@dataclass(frozen=True)
-class ValuationParts:
+class ValuationParts(_FrozenValue):
     """Exact multiplicity of p in |Aut| of a p-group, split by source.
 
     n is the rank, d collects the contributions from mapping
@@ -115,9 +150,10 @@ class ValuationParts:
     contributions within and above each exponent level.
     """
 
-    n: int
-    d: int
-    c: int
+    __slots__ = __match_args__ = ("n", "d", "c")
+
+    def __init__(self, n: int, d: int, c: int) -> None:
+        self._freeze(n, d, c)
 
     @property
     def total(self) -> int:

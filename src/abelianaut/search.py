@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -87,7 +86,7 @@ from numbers import Rational, Real
 
 from . import enumeration
 from .arith import FactorizationOverflow, factorize, is_prime
-from .core import GroupShape, PGroupShape
+from .core import GroupShape, PGroupShape, _FrozenValue
 
 
 # Default cap on the group order swept by realize and ratio_atlas.
@@ -122,11 +121,13 @@ class UnrealizableReason(Enum):
         return reason
 
 
-@dataclass(frozen=True)
-class NotFoundWithinBounds:
+class NotFoundWithinBounds(_FrozenValue):
     """No witness among groups of order <= max_order_searched; open beyond."""
 
-    max_order_searched: int
+    __slots__ = __match_args__ = ("max_order_searched",)
+
+    def __init__(self, max_order_searched: int) -> None:
+        self._freeze(max_order_searched)
 
 
 def _as_positive_fraction(target: Fraction | int) -> Fraction:

@@ -548,10 +548,14 @@ def test_closed_output_pipe_exits_quietly():
 
 def test_package_imports_with_the_standard_library_alone():
     # -S leaves site-packages off sys.path, so a third-party import fails.
+    # Nor does the package load dataclasses, which pulls in inspect, ast and
+    # dis: every one-shot CLI call would pay for them at start-up.
     env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
+    code = ("import sys, abelianaut.cli, abelianaut.oracle\n"
+            "loaded = {'dataclasses', 'inspect'} & sys.modules.keys()\n"
+            "assert not loaded, sorted(loaded)")
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import abelianaut.cli, abelianaut.oracle"],
-        capture_output=True, env=env, timeout=60)
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

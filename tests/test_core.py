@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import prod
@@ -8,6 +10,7 @@ from abelianaut import (
     FactorizationOverflow,
     GroupShape,
     InvalidModulus,
+    NotFoundWithinBounds,
     PGroupClassKind,
     PGroupShape,
     aut_order,
@@ -20,6 +23,7 @@ from abelianaut import (
     ratio,
 )
 from abelianaut import enumeration
+from abelianaut.core import ValuationParts
 from abelianaut.enumeration import partitions, pgroup_shapes_up_to
 from abelianaut.cli import parse_group
 from helpers import (
@@ -84,6 +88,40 @@ def test_group_shape_str_and_component():
     assert str(g) == "Z2 x Z3 x Z9"
     assert g.component(3) == PGroupShape(3, (1, 2))
     assert g.component(7) is None
+
+
+@pytest.mark.parametrize("value, names, text", [
+    (PGroupShape(3, (2, 1)), ("p", "exponents"),
+     "PGroupShape(p=3, exponents=(1, 2))"),
+    (GroupShape((PGroupShape(5, (1,)), PGroupShape(2, (1,)))), ("factors",),
+     "GroupShape(factors=(PGroupShape(p=2, exponents=(1,)),"
+     " PGroupShape(p=5, exponents=(1,))))"),
+    # rebuilt from its fields as GroupShape(()): this checks it equals GroupShape()
+    (GroupShape(), ("factors",), "GroupShape(factors=())"),
+    (ValuationParts(n=2, d=1, c=3), ("n", "d", "c"), "ValuationParts(n=2, d=1, c=3)"),
+    (NotFoundWithinBounds(max_order_searched=30), ("max_order_searched",),
+     "NotFoundWithinBounds(max_order_searched=30)"),
+], ids=["PGroupShape", "GroupShape", "GroupShape-trivial", "ValuationParts",
+        "NotFoundWithinBounds"])
+def test_value_classes_are_frozen_values(value, names, text):
+    # Equal only to the same class with equal fields, hashed as the field
+    # tuple (so sets and dicts order them as they would the tuples), never
+    # ordered, immutable, and rebuilt whole by pickle and copy.
+    fields = tuple(getattr(value, name) for name in names)
+    assert type(value).__match_args__ == names
+    assert repr(value) == text
+    for twin in (type(value)(*fields), pickle.loads(pickle.dumps(value)),
+                 copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+    assert value != fields and fields != value
+    assert hash(value) == hash(fields)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{names[0]}'"):
+        setattr(value, names[0], fields[0])
+    with pytest.raises(AttributeError, match=f"cannot delete field '{names[0]}'"):
+        delattr(value, names[0])
+    with pytest.raises(TypeError):
+        value < value
 
 
 # ---------------------------------------------------------- canonicalize
