@@ -21,7 +21,6 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -344,26 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _unlimited_int_digits() -> Iterator[None]:
-    """Lift Python's limit on int <-> str digits while the block runs.
-
-    |Aut| of (Z2)^200 has about 12,000 digits, past the default limit of
-    4300.
-    """
+def main(argv: list[str] | None = None) -> int:
+    # |Aut| of (Z2)^200 has about 12,000 digits, past Python's default
+    # limit of 4300 on int <-> str conversion.
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-@_unlimited_int_digits()
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()
         return code
@@ -382,3 +368,5 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_BOUND
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -81,7 +81,7 @@ class PGroupShape(_FrozenValue):
 
     __slots__ = __match_args__ = ("p", "exponents")
 
-    def __init__(self, p: int, exponents: tuple[int, ...]) -> None:
+    def __init__(self, p: int, exponents: Iterable[int]) -> None:
         exps = tuple(exponents)
         if not exps:
             raise ValueError("exponent partition must be nonempty")
@@ -114,7 +114,8 @@ class GroupShape(_FrozenValue):
 
     __slots__ = __match_args__ = ("factors",)
 
-    def __init__(self, factors: tuple[PGroupShape, ...] = ()) -> None:
+    def __init__(self, factors: Iterable[PGroupShape] = ()) -> None:
+        factors = tuple(factors)
         if any(not isinstance(f, PGroupShape) for f in factors):
             raise TypeError("factors must be PGroupShape instances")
         factors = tuple(sorted(factors, key=lambda f: f.p))
@@ -125,7 +126,7 @@ class GroupShape(_FrozenValue):
     @classmethod
     def from_exponents(cls, parts: Mapping[int, Iterable[int]]) -> "GroupShape":
         """Build from ``{prime: exponent list}``, e.g. ``{2: [1], 3: [1, 2]}``."""
-        return cls(tuple(PGroupShape(p, tuple(es)) for p, es in parts.items()))
+        return cls(PGroupShape(p, es) for p, es in parts.items())
 
     @property
     def order(self) -> int:

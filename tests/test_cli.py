@@ -156,6 +156,29 @@ def test_main_parses_bounds_past_the_int_str_digit_limit(capsys):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["aut", "Z2"], 0),
+    (["verify", "--budget", "0"], 1),  # argparse exits
+    (["aut", "Zx"], 1),  # ParseError
+    (["aut", "Z0"], 1),  # InvalidModulus
+    (["aut", "Z10000000000000"], 2),  # FactorizationOverflow
+    (["verify", "--max-order", "1"], 2),  # nothing checked
+])
+def test_main_restores_the_int_str_digit_limit_on_every_exit(argv, code, capsys):
+    default = sys.int_info.default_max_str_digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(default)
+    try:
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert sys.get_int_max_str_digits() == default
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_ratio_text_integer_and_fraction(capsys):
     assert main(["ratio", "Z2xZ5xZ25"]) == 0
     assert capsys.readouterr().out == "8\n"
@@ -549,10 +572,11 @@ def test_closed_output_pipe_exits_quietly():
 def test_package_imports_with_the_standard_library_alone():
     # -S leaves site-packages off sys.path, so a third-party import fails.
     # Nor does the package load dataclasses, which pulls in inspect, ast and
-    # dis: every one-shot CLI call would pay for them at start-up.
+    # dis, or contextlib: every one-shot CLI call would pay for them at
+    # start-up.
     env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
     code = ("import sys, abelianaut.cli, abelianaut.oracle\n"
-            "loaded = {'dataclasses', 'inspect'} & sys.modules.keys()\n"
+            "loaded = {'contextlib', 'dataclasses', 'inspect'} & sys.modules.keys()\n"
             "assert not loaded, sorted(loaded)")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=60)

@@ -76,6 +76,13 @@ def test_group_shape_sorts_and_rejects_duplicates():
             GroupShape(factors)
 
 
+def test_group_shape_reads_a_generator_of_blocks_once():
+    blocks = (PGroupShape(3, (1,)), PGroupShape(2, (1,)))
+    g = GroupShape(f for f in blocks)
+    assert g == GroupShape(blocks)
+    assert g.order == 6
+
+
 def test_group_shape_trivial():
     g = GroupShape()
     assert g.order == 1
