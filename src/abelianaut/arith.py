@@ -144,14 +144,15 @@ def factorizations_up_to(n: int, step: int = 1) -> Iterator[tuple[int, dict[int,
     ``step`` is factored once, and each cofactor j = k/step walks
     j -> j / spf(j) down a smallest-prime-factor sieve of the cofactors,
     rebuilt at twice the size whenever j outgrows it: it holds at most
-    about 2j machine ints and lives only as long as the iterator.
+    about 2j machine ints and lives only as long as the iterator.  The
+    step's primes are merged into j's only when the step is above 1.
     """
     base = factorize(step) if step <= n else {}
     spf = array("I")
     for j in range(1, n // step + 1):
         if j >= len(spf):
             spf = _smallest_prime_factors(min(n // step, 2 * j))
-        factors = dict(base)
+        factors = {}
         m = j
         while m > 1:
             p = spf[m] or m
@@ -159,5 +160,8 @@ def factorizations_up_to(n: int, step: int = 1) -> Iterator[tuple[int, dict[int,
             while m % p == 0:
                 m //= p
                 e += 1
-            factors[p] = factors.get(p, 0) + e
-        yield j * step, dict(sorted(factors.items())) if base else factors
+            factors[p] = e
+        if base:
+            factors = {p: factors.get(p, 0) + base.get(p, 0)
+                       for p in sorted(factors.keys() | base.keys())}
+        yield j * step, factors

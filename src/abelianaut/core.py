@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from itertools import groupby
 from math import prod
+from operator import attrgetter
 
 from .arith import InvalidModulus, factorize, is_positive_int, is_prime
 
@@ -76,10 +76,13 @@ class PGroupShape(_FrozenValue):
 
     ``PGroupShape(3, (1, 2))`` is Z_3 x Z_9.  Exponents may be given in any
     order; they are sorted ascending on construction, which is the order
-    every formula below assumes.
+    every formula below assumes.  The text is built on the first ``str()``
+    and kept in a slot that is no field: equality, hashing, ``repr``,
+    pickling and copying never see it.
     """
 
-    __slots__ = __match_args__ = ("p", "exponents")
+    __match_args__ = ("p", "exponents")
+    __slots__ = (*__match_args__, "_text")
 
     def __init__(self, p: int, exponents: Iterable[int]) -> None:
         exps = tuple(exponents)
@@ -101,7 +104,12 @@ class PGroupShape(_FrozenValue):
         return self.p ** sum(self.exponents)
 
     def __str__(self) -> str:
-        return _block_text(self.p, self.exponents)
+        try:
+            return self._text
+        except AttributeError:
+            text = " x ".join(f"Z{self.p ** e}" for e in self.exponents)
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 class GroupShape(_FrozenValue):
@@ -205,8 +213,8 @@ def aut_order_p(shape: PGroupShape) -> int:
 
         |Aut(P)| = p^v * prod over levels j of prod_{i=1..k_j} (p^i - 1)
 
-    with k_j the multiplicity of the j-th distinct exponent and v =
-    ``p_valuation_of_aut(shape).total``.  Hence p - 1 divides |Aut(P)|; its
+    with k_j the multiplicity of the j-th distinct exponent and v the total
+    of :func:`p_valuation_of_aut`.  Hence p - 1 divides |Aut(P)|; its
     part prime to p depends only on the multiplicities; and for odd p each
     p^i - 1 is even, so v_2(|Aut(P)|) >= rank: v_2 = 1 only for cyclic P.
 
@@ -220,7 +228,8 @@ def aut_order_p(shape: PGroupShape) -> int:
     p = shape.p
     units = prod(p**i - 1 for _, g in groupby(shape.exponents)
                  for i in range(1, len(list(g)) + 1))
-    return p ** p_valuation_of_aut(shape).total * units
+    n, d, c = _valuation_parts(shape.exponents)
+    return p ** (n * (n - 1) // 2 + d + c) * units
 
 
 def aut_order(group: GroupShape) -> int:
@@ -248,14 +257,19 @@ def p_valuation_of_aut(shape: PGroupShape) -> ValuationParts:
 
     and the total multiplicity is n(n-1)/2 + d + c.
     """
-    n = K = shape.rank  # K runs down the suffix rank sums K_1 = n, K_2, ...
+    return ValuationParts(*_valuation_parts(shape.exponents))
+
+
+def _valuation_parts(exponents: tuple[int, ...]) -> tuple[int, int, int]:
+    """(n, d, c) of :func:`p_valuation_of_aut` for ascending ``exponents``."""
+    n = K = len(exponents)  # K runs down the suffix rank sums K_1 = n, K_2, ...
     d = c = 0
-    for e, g in groupby(shape.exponents):
+    for e, g in groupby(exponents):
         k = len(list(g))
         c += (e - 1) * k * K
         K -= k
         d += e * k * K
-    return ValuationParts(n=n, d=d, c=c)
+    return n, d, c
 
 
 def classify(shape: PGroupShape) -> PGroupClassKind:
@@ -298,13 +312,15 @@ def closed_form_ratio(shape: PGroupShape) -> Fraction | None:
     return None
 
 
-@cache
-def _block_text(p: int, exponents: tuple[int, ...]) -> str:
-    return " x ".join(f"Z{p ** e}" for e in exponents)
+_text_of = attrgetter("_text")
 
 
 def blocks_text(blocks: tuple[PGroupShape, ...]) -> str:
     """The text of the group whose primary blocks are ``blocks``, in the
     order given: ``Z2 x Z3 x Z9``, or ``Z1`` for no block.  Each block's
-    text is built once per (p, exponents)."""
-    return " x ".join(map(str, blocks)) or "Z1"
+    text is built once, by its first ``str()``; once all are built, they
+    are joined with no call to ``__str__``."""
+    try:
+        return " x ".join(map(_text_of, blocks)) or "Z1"
+    except AttributeError:
+        return " x ".join(map(str, blocks)) or "Z1"

@@ -6,18 +6,21 @@ duplicate-free by construction.  The order of emission is deterministic
 and documented, because downstream searches return the first hit and
 therefore rely on it for witness minimality.
 
-Each primary block is built and counted once, in a cached (p, a) table
-that atlas, enumerate, search and verify all read.  A sweep folds the
-counts into each group's |Aut| prime by prime and hands out
-(order, blocks, |Aut|) records, building no GroupShape (``realize`` and
-``ratio_atlas`` build one per witness); :func:`pgroup_shapes_up_to` hands
-verify the table's own (block, |Aut|) records to check against the oracle.
+Blocks come from two cached (p, a) tables, and each block is built and
+counted once per table: the full table, which enumerate and verify read,
+and the table of ratio-minimal blocks, which the atlas and search read,
+since a group with any other block has a smaller twin of the same ratio
+(the twin lemma in :mod:`abelianaut.search`).  A sweep folds the counts
+into each group's |Aut| prime by prime and hands out (order, blocks,
+|Aut|) records, building no GroupShape (``realize`` and ``ratio_atlas``
+build one per witness); :func:`pgroup_shapes_up_to` hands verify the full
+table's own (block, |Aut|) records to check against the oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, partial
 from itertools import chain, starmap
 
 from .arith import factorizations_up_to, is_positive_int, primes_up_to
@@ -47,13 +50,27 @@ def _ascending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (*rest, top)
 
 
+def _ratio_minimal(exponents: tuple[int, ...]) -> bool:
+    """Z_p, or an ascending partition whose top exponent is repeated or one
+    more than the next (the twin lemma in :mod:`abelianaut.search`)."""
+    if len(exponents) == 1:
+        return exponents == (1,)
+    return exponents[-1] - exponents[-2] <= 1
+
+
 @cache
-def _blocks(p: int, a: int) -> tuple[tuple[PGroupShape, int], ...]:
-    """(block, |Aut(block)|) for each p-group of order p^a, in :func:`partitions`
-    order: the one count of each block that the sweeps and verify read.
-    Counted by the ``aut_order_p`` bound at import, so rebinding
-    ``core.aut_order_p`` cannot leave a wrong count in the cache."""
-    shapes = [PGroupShape(p, exps) for exps in partitions(a)]
+def _blocks(p: int, a: int, minimal: bool) -> tuple[tuple[PGroupShape, int], ...]:
+    """(block, |Aut(block)|) for each p-group of order p^a in :func:`partitions`
+    order, or only for each ratio-minimal one when ``minimal``: the one count
+    of each block that the sweeps and verify read.  The two tables share
+    this cache, so clearing it clears both, and the minimal one filters the
+    partitions, so it builds no block that it drops.  Counted by the
+    ``aut_order_p`` bound at import, so rebinding ``core.aut_order_p``
+    cannot leave a wrong count in the cache."""
+    exponents = partitions(a)
+    if minimal:
+        exponents = filter(_ratio_minimal, exponents)
+    shapes = [PGroupShape(p, exps) for exps in exponents]
     return tuple(zip(shapes, map(aut_order_p, shapes)))
 
 
@@ -70,29 +87,32 @@ def pgroup_shapes_up_to(max_order: int) -> Iterator[tuple[PGroupShape, int]]:
     for p in primes_up_to(max_order):
         a = 1
         while p**a <= max_order:
-            yield from _blocks(p, a)
+            yield from _blocks(p, a, False)
             a += 1
 
 
-def _groups(order: int, factors: dict[int, int]) -> list[_Record]:
-    """(order, blocks, |Aut|) per group of the order ``factors`` spells,
-    primes ascending, the partition of the largest prime varying fastest;
-    |Aut| folded prime by prime."""
+def _groups(minimal: bool, order: int, factors: dict[int, int]) -> list[_Record]:
+    """(order, blocks, |Aut|) per group of the order ``factors`` spells, its
+    blocks read from the ``minimal`` or the full table, primes ascending,
+    the partition of the largest prime varying fastest; |Aut| folded prime
+    by prime."""
     groups = [(order, (), 1)]
     for p, a in factors.items():
-        table = _blocks(p, a)
+        table = _blocks(p, a, minimal)
         groups = [(order, blocks + (shape,), aut * block_aut)
                   for _, blocks, aut in groups for shape, block_aut in table]
     return groups
 
 
-def _sweep(max_order: int, step: int = 1) -> Iterator[_Record]:
+def _sweep(max_order: int, step: int = 1, minimal: bool = False) -> Iterator[_Record]:
     """:func:`_groups` of each (order, factorization) pair that one sieve,
     ``factorizations_up_to``, yields for order = step, 2step, ... <= max_order,
-    in one flat stream: the records the atlas, enumerate and search read.
-    The bounds are checked on the call, not on the first read."""
+    in one flat stream: every group, which enumerate reads, or only the
+    groups whose blocks are all ratio-minimal, which the atlas and search
+    read.  The bounds are checked on the call, not on the first read."""
     if not is_positive_int(max_order):
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
     if not is_positive_int(step):
         raise ValueError(f"step must be an integer >= 1, got {step!r}")
-    return chain.from_iterable(starmap(_groups, factorizations_up_to(max_order, step)))
+    groups = partial(_groups, minimal)
+    return chain.from_iterable(starmap(groups, factorizations_up_to(max_order, step)))

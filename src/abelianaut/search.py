@@ -67,12 +67,50 @@ mod 4, and the 2-block is Z_{2^e} or Z2 x Z2.  Then r is (q-1)/(2q) or
 Every other target a/b is searched for exhaustively.  |Aut(G)|/|G|
 reduces to a fraction whose denominator divides |G|, so only groups
 whose order is a multiple of b can realize a/b; the search reads the
-orders b, 2b, 3b, ... and each order's groups in enumeration order, with
-|Aut| from the block table, off the sweep the atlas reads with step 1,
-so the first hit is a witness of minimal group order.  Both build a
-GroupShape only for what they return.  Absence of a witness within
-bounds proves nothing (the full classification is open) and is reported
-as exactly that, never as unrealizable.
+orders b, 2b, 3b, ... and each order's ratio-minimal groups (below) in
+enumeration order, with |Aut| from the block table, off the sweep the
+atlas reads with step 1, so the first hit is a witness of minimal group
+order.  Both build a GroupShape only for what they return.  Absence of a
+witness within bounds proves nothing (the full classification is open)
+and is reported as exactly that, never as unrealizable.
+
+Twin lemma.  Call a p-block with exponents e_1 <= ... <= e_n
+ratio-minimal when e_n <= e_{n-1} + 1, reading e_0 = 0 for a cyclic
+block: Z_p, or a top exponent that is repeated or one more than the
+next.  Call a group ratio-minimal when all its blocks are.  If P is not,
+its top exponent e_n >= e_{n-1} + 2 >= 2 is a level of its own, and
+lowering it by one gives a block P' with |P'| = |P|/p and r_P' = r_P.
+Lowered, e_n - 1 > e_{n-1} is still a level of one, so the
+multiplicities and U_P' = U_P stay.  In v = n(n-1)/2 + d + c, n stays;
+d = sum over j < m of e_j k_j K_{j+1} does not read the top exponent
+e_m; and the top level adds (e_m - 1) k_m K_m = e_m - 1 to c.  So v
+falls by one, as does a, and v - a stays.  Replacing P by P' in G gives
+a twin G' with |G'| = |G|/p and the same ratio, since r is the product
+of the r_P.  Repeating this, which ends as the order falls, leads from
+any group G to a ratio-minimal group G* of the same ratio with |G*| <
+|G| unless G is ratio-minimal itself.  Every order has a ratio-minimal
+group: take Z_p^a for each p^a.
+
+So the atlas and the search sweep only the ratio-minimal groups, from a
+table of ratio-minimal blocks that builds no other block.  This sweep is
+the full sweep with the other groups left out, in the same order.
+- The atlas: a first witness G of a ratio is ratio-minimal, or its twin,
+  of smaller order and the same ratio, would come before it in the full
+  sweep.  So the fold meets each ratio first at the same witness, meets
+  the ratios in the same order, and meets no ratio the full sweep does
+  not.
+- The first hit of realize: were the full sweep's first hit G not
+  ratio-minimal, its twin would have ratio a/b, so an order below |G|
+  that b divides, and the stepped sweep would hit the twin first.  So
+  that first hit is ratio-minimal, and the fold hits it first too.  With
+  no hit in the fold up to the bound there is none in the full sweep, as
+  each group has a G* of no larger order and the same ratio.
+- The time limit's bound n - 1: when time runs out on order n, every
+  ratio-minimal group of order < n that is a multiple of b has been
+  tested.  A group H of order < n with ratio a/b would have such a G*,
+  of order <= |H| < n and ratio a/b, which would have hit.  Since every
+  multiple of b has a ratio-minimal group, the first record has order
+  b, and a zero time limit still gives b - 1.
 """
 
 from __future__ import annotations
@@ -183,19 +221,22 @@ def realize(
     target returns the reason :func:`screen` gave.  A group of order n has
     a ratio whose reduced denominator divides n, so for a target a/b only
     the orders b, 2b, ... <= max_order are visited (the enumeration's sweep
-    stepped by b, one (order, blocks, |Aut|) record per group), and a group
-    hits when |Aut(G)| * b == a * n.  The first hit, the only group built as a
-    GroupShape, is returned, so the witness has minimal order (ties broken
-    by enumeration order).  The time limit is checked before each group;
-    run out on order n, it gives NotFoundWithinBounds(n - 1), since every
-    order below n has been swept or ruled out by divisibility.
+    stepped by b, one (order, blocks, |Aut|) record per ratio-minimal
+    group), and a group hits when |Aut(G)| * b == a * n.  The first hit,
+    the only group built as a GroupShape, is returned, so the witness has
+    minimal order (ties broken by enumeration order).  The time limit is
+    checked before each group; run out on order n, it gives
+    NotFoundWithinBounds(n - 1), since every order below n has been swept
+    or ruled out by divisibility.  The twin lemma in the module docstring
+    shows that leaving out the groups that are not ratio-minimal moves
+    neither the first hit nor that bound.
     """
     t = time_limit
     if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t >= 0):
         raise ValueError(f"time_limit must be a number of seconds >= 0, got {t!r}")
     target = _as_positive_fraction(target)
     a, b = target.numerator, target.denominator
-    sweep = enumeration._sweep(max_order, b)  # refuses a bad max_order first
+    sweep = enumeration._sweep(max_order, b, minimal=True)  # refuses a bad max_order
     reason = screen(target)
     if reason is not None:
         return reason
@@ -229,11 +270,13 @@ def _first_witnesses(
     of order <= max_order, the first time the sweep reaches it.
 
     The sweep runs orders ascending, so each ratio comes with its
-    minimal-order witness (ties broken by enumeration order).  Ratios are
-    deduped as num * (max_order + 1) + den, one int per reduced pair
-    (den <= max_order).  The sweep checks the bound when the walk starts.
+    minimal-order witness (ties broken by enumeration order); it reads only
+    the ratio-minimal groups, among which, by the twin lemma in the module
+    docstring, every first witness is.  Ratios are deduped as
+    num * (max_order + 1) + den, one int per reduced pair (den <=
+    max_order).  The sweep checks the bound when the walk starts.
     """
-    sweep = enumeration._sweep(max_order)  # refuses a bad max_order first
+    sweep = enumeration._sweep(max_order, minimal=True)  # refuses a bad max_order
     radix = max_order + 1
     seen: set[int] = set()
     for order, blocks, aut in sweep:

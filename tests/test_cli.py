@@ -422,11 +422,14 @@ def test_verify_json(capsys):
 
 
 def test_verify_reports_and_exits_3_on_mismatch(capsys, monkeypatch):
-    # verify checks the block table's counts, so a wrong count goes in there
+    # verify checks the block table's counts, so a wrong count goes in there;
+    # one cache holds the full and the ratio-minimal table, so clearing it
+    # clears both
     enumeration._blocks.cache_clear()
     monkeypatch.setattr(enumeration, "aut_order_p", lambda shape: 1)
     try:
         assert main(["verify", "--max-order", "4"]) == 3
+        assert main(["atlas", "--max-order", "4"]) == 0  # fills the minimal table
     finally:
         enumeration._blocks.cache_clear()  # no later test reads a count of 1
     captured = capsys.readouterr()

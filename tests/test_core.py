@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -113,8 +114,15 @@ def test_group_shape_str_and_component():
 def test_value_classes_are_frozen_values(value, names, text):
     # Equal only to the same class with equal fields, hashed as the field
     # tuple (so sets and dicts order them as they would the tuples), never
-    # ordered, immutable, and rebuilt whole by pickle and copy.
+    # ordered, immutable, and rebuilt whole by pickle and copy.  Printed
+    # first, so the text a PGroupShape keeps beside its fields shows in none
+    # of these.
     fields = tuple(getattr(value, name) for name in names)
+    fresh = type(value)(*fields)
+    str(value)
+    assert pickle.dumps(value) == pickle.dumps(fresh)
+    assert repr(value) == repr(fresh)
+    assert value == fresh and hash(value) == hash(fresh)
     assert type(value).__match_args__ == names
     assert repr(value) == text
     for twin in (type(value)(*fields), pickle.loads(pickle.dumps(value)),
@@ -129,6 +137,21 @@ def test_value_classes_are_frozen_values(value, names, text):
         delattr(value, names[0])
     with pytest.raises(TypeError):
         value < value
+
+
+def test_a_block_builds_its_text_on_the_first_str_only():
+    # 2**(10**6) has 301,030 digits, past the default limit of 4300 on
+    # int-to-str conversion: building the block must neither pay for its
+    # text nor trip the limit; printing it trips it as before.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        shape = PGroupShape(2, (10**6,))
+        with pytest.raises(ValueError, match="Exceeds the limit .4300 digits."):
+            str(shape)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(PGroupShape(3, (2, 1))) == "Z3 x Z9"
 
 
 # ---------------------------------------------------------- canonicalize

@@ -1,13 +1,14 @@
 from collections import defaultdict
+from fractions import Fraction
 from math import prod
 
 import pytest
 
-from abelianaut import GroupShape, partitions
+from abelianaut import GroupShape, PGroupShape, partitions
 from abelianaut import enumeration
 from abelianaut.arith import factorize, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
-from helpers import package_imports, partition_count
+from helpers import hillar_rhea_aut_order, package_imports, partition_count
 
 
 # -------------------------------------------------------------- partitions
@@ -129,6 +130,50 @@ def test_stream_deterministic():
     first = _up_to(120)
     second = _up_to(120)
     assert first == second
+
+
+def test_the_minimal_sweep_keeps_the_ratio_minimal_records_in_order():
+    def minimal(blocks):
+        return all(b.exponents[-1] <= (b.exponents[-2:-1] or (0,))[0] + 1 for b in blocks)
+
+    for step in (1, 6):
+        want = [r for r in enumeration._sweep(600, step) if minimal(r[1])]
+        assert list(enumeration._sweep(600, step, minimal=True)) == want
+
+
+def test_the_ratio_minimal_table_builds_only_the_blocks_it_keeps(monkeypatch):
+    built = []
+
+    def counted(p, exponents):
+        built.append(exponents)
+        return PGroupShape(p, exponents)
+
+    enumeration._blocks.cache_clear()
+    monkeypatch.setattr(enumeration, "PGroupShape", counted)
+    try:
+        table = enumeration._blocks(3, 9, True)
+    finally:
+        enumeration._blocks.cache_clear()  # no later test reads these blocks
+    assert len(built) == len(table) == 15 < partition_count(9)
+    assert built == [block.exponents for block, _ in table]
+
+
+def test_a_block_that_is_not_ratio_minimal_has_a_twin_of_the_same_ratio():
+    # The twin lemma of the search module, against the position formula:
+    # lowering a unique top exponent two or more above the next keeps the
+    # ratio, and the minimal table is what no twin undercuts.
+    for p in (2, 3, 5):
+        for a in range(1, 11):
+            kept = {block.exponents for block, _ in enumeration._blocks(p, a, True)}
+            for exps in partitions(a):
+                below_top = (exps[-2:-1] or (0,))[0]  # 0 below a cyclic block
+                assert (exps in kept) == (exps[-1] <= below_top + 1), (p, exps)
+                if exps in kept:
+                    continue
+                twin = PGroupShape(p, (*exps[:-1], exps[-1] - 1))
+                block = PGroupShape(p, exps)
+                assert Fraction(hillar_rhea_aut_order(block), block.order) == Fraction(
+                    hillar_rhea_aut_order(twin), twin.order), (p, exps)
 
 
 # ------------------------------------------------------- p-group shapes

@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,8 +287,57 @@ def test_atlas_equals_the_per_group_reference_in_order():
         reference_atlas(3000).items())
 
 
+def _first_witnesses_of(records):
+    """The first-witness walk of ``search._first_witnesses`` over ``records``,
+    (order, blocks, |Aut|) triples in sweep order."""
+    seen = set()
+    for order, blocks, aut in records:
+        g = gcd(aut, order)
+        reduced = (aut // g, order // g)
+        if reduced not in seen:
+            seen.add(reduced)
+            yield (*reduced, order, blocks)
+
+
+def _full_first_hit(target, max_order):
+    """The first group of the full sweep stepped by the denominator that
+    realizes ``target``, or None."""
+    a, b = target.numerator, target.denominator
+    for order, blocks, aut in enumeration._sweep(max_order, b):
+        if aut * b == a * order:
+            return GroupShape(blocks)
+    return None
+
+
+def test_the_fold_equals_the_full_sweep():
+    # ROADMAP item 11: a group with a block that is not ratio-minimal has a
+    # smaller twin of the same ratio, so skipping it moves no first witness.
+    full = list(enumeration._sweep(20000))
+    assert len(full) == 44766
+    assert sum(1 for _ in enumeration._sweep(20000, minimal=True)) == 27734
+    assert list(search._first_witnesses(20000)) == list(_first_witnesses_of(full))
+
+
+def test_realize_equals_the_full_sweeps_first_hit():
+    targets = [Fraction(num, den)
+               for num, den, _, _ in _first_witnesses_of(enumeration._sweep(2000))]
+    assert len(targets) == 2332
+    for target in targets:
+        assert realize(target, max_order=2000) == _full_first_hit(target, 2000), target
+
+
+@pytest.mark.parametrize("target, below_b", [
+    (Fraction(10), 0), (Fraction(20), 0), (Fraction(56), 0),
+    (Fraction(16, 15), 14), (Fraction(100, 3), 2)], ids=str)
+def test_realize_bounds_are_unmoved_by_the_fold(target, below_b):
+    if target.denominator == 1:  # passes every screen, no witness to 10^4
+        assert realize(target, max_order=10**4) == NotFoundWithinBounds(10**4)
+    # the fold visits every multiple of b, so the first record is at order b
+    assert realize(target, max_order=10**4, time_limit=0) == NotFoundWithinBounds(below_b)
+
+
 def test_block_table_keeps_no_patched_count(monkeypatch, capsys):
-    enumeration._blocks.cache_clear()
+    enumeration._blocks.cache_clear()  # both tables: the full and the ratio-minimal
     monkeypatch.setattr(core, "aut_order_p", lambda shape: 1)
     assert main(["verify", "--max-order", "4"]) == 0  # verify reads the table
     ratio_atlas(16)
