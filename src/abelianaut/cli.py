@@ -245,14 +245,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract here is 1."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -283,32 +275,30 @@ def build_parser() -> argparse.ArgumentParser:
                        default=search.DEFAULT_MAX_ORDER,
                        help="largest group order to sweep (default: %(default)s)")
 
-    parser = _Parser(
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("group", help="group expression, e.g. Z2xZ3xZ9")
+
+    parser = argparse.ArgumentParser(
         prog="abelianaut",
         description="Exact |Aut(G)| and |Aut(G)|/|G| for finite abelian groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("aut", parents=[common],
+    p = sub.add_parser("aut", parents=[common, group],
                        help="print |Aut(G)| for a group expression")
-    p.add_argument("group", help="group expression, e.g. Z2xZ3xZ9")
     p.set_defaults(handler=cmd_aut)
 
-    p = sub.add_parser("ratio", parents=[common],
+    p = sub.add_parser("ratio", parents=[common, group],
                        help="print |Aut(G)|/|G| as a reduced fraction")
-    p.add_argument("group")
     p.set_defaults(handler=cmd_ratio)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, group],
                        help="print the shape class of each primary component")
-    p.add_argument("group")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser(
-        "valuation", parents=[common],
+        "valuation", parents=[common, group],
         help="largest power of P dividing |Aut| of the P-primary component")
-    p.add_argument("group")
     p.add_argument("-p", type=_positive_int, required=True, metavar="P",
                    help="prime whose primary component to analyze")
     p.set_defaults(handler=cmd_valuation)
@@ -353,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage error; the contract here is 1
+            raise SystemExit(EXIT_USAGE) from None
+        raise
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so the flush at
         # interpreter exit cannot raise a second time.

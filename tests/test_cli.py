@@ -346,6 +346,19 @@ def test_help_shows_bound_defaults(capsys, monkeypatch, command, default):
     assert default in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    [], ["aut"], ["ratio"], ["classify"], ["valuation"], ["enumerate"],
+    ["search"], ["atlas"], ["verify"]], ids=lambda c: c[0] if c else "top")
+def test_every_help_formats(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: abelianaut")
+    if command and command[0] in ("aut", "ratio", "classify", "valuation"):
+        assert "group expression, e.g. Z2xZ3xZ9" in out
+
+
 _ODD_INTEGER = ("unrealizable (odd-integer-target): the only odd integers "
                 "realizable are 1 (Z1) and 21 (Z2 x Z2 x Z2)\n")
 
