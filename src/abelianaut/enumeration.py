@@ -62,8 +62,8 @@ def _ratio_minimal(exponents: tuple[int, ...]) -> bool:
 def _blocks(p: int, a: int, minimal: bool) -> tuple[tuple[PGroupShape, int], ...]:
     """(block, |Aut(block)|) for each p-group of order p^a in :func:`partitions`
     order, or only for each ratio-minimal one when ``minimal``: ``enumerate``
-    and verify read the full table, the atlas and ``realize`` the minimal one,
-    so a process that reads both counts a ratio-minimal block in each, with
+    and verify read the full table, the atlas and ``realize`` the minimal one;
+    a process that reads both counts a ratio-minimal block once in each, with
     the same ``aut_order_p``.  The two tables share this cache, so clearing
     it clears both, and the minimal one filters the partitions, so it builds
     no block that it drops.  Counted by the ``aut_order_p`` bound at import,
