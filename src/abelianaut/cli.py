@@ -22,6 +22,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from . import arith, core, enumeration, oracle, search
@@ -245,24 +246,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
+def _at_least(convert: Callable[[str], float], low: int, noun: str,
+              text: str) -> float:
     try:
-        value = int(text)
+        value = convert(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("must be an integer >= 1") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be {noun} >= {low}") from None
+    if not value >= low:  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"must be >= {low}")
     return value
 
 
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be a number >= 0") from None
-    if not value >= 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+_positive_int = partial(_at_least, int, 1, "an integer")
+_nonnegative_float = partial(_at_least, float, 0, "a number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common],
         help="cross-check the formula against brute-force counting")
     p.add_argument("--max-order", type=_positive_int, default=64, metavar="N",
-                   help="check every p-group shape of order <= N (default: 64)")
+                   help="check every p-group shape of order <= N (default: %(default)s)")
     p.add_argument("--budget", type=_positive_int, metavar="B",
                    default=oracle.DEFAULT_BUDGET,
                    help="max candidate tuples per shape (default: %(default)s)")

@@ -12,7 +12,8 @@ p^i - 1 for i = 1..k over each exponent level of k equal factors, with v
 its closed-form p-valuation; blocks of coprime order cannot map into one
 another, so the count for the whole group is just the product over blocks.
 Sweeps do not call these per group: :mod:`abelianaut.enumeration`
-counts each block once in its block table and multiplies the counts.
+counts each block once per block table (the full table, and the table of
+ratio-minimal blocks) and multiplies the counts.
 
 All arithmetic is exact: Python big integers for counts and orders,
 :class:`fractions.Fraction` for the ratio |Aut(G)|/|G|.  There is no

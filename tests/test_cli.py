@@ -516,11 +516,14 @@ def test_usage_error_exit_code():
 
 def test_search_time_limit_nan_is_a_usage_error(capsys):
     # nan >= 0 is False, so a NaN budget would set a deadline never reached.
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "9", "--time-limit", "nan"])
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and "--time-limit: must be >= 0" in err
+    for value in ("nan", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "9", "--time-limit", value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.splitlines()[-1] == (
+            "abelianaut search: error: argument --time-limit: must be >= 0")
     assert main(["search", "3/2", "--time-limit", "inf"]) == 0  # inf: no limit
 
 
@@ -537,7 +540,9 @@ def test_integer_options_refuse_values_below_1(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "must be >= 1" in err
+    assert err.startswith("usage:")
+    assert err.splitlines()[-1] == (
+        f"abelianaut {argv[0]}: error: argument {argv[-2]}: must be >= 1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -551,7 +556,11 @@ def test_option_values_that_do_not_parse_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "must be" in err
+    bound = ("a number >= 0" if argv[-2] == "--time-limit"
+             else "an integer >= 1")
+    assert err.startswith("usage:")
+    assert err.splitlines()[-1] == (
+        f"abelianaut {argv[0]}: error: argument {argv[-2]}: must be {bound}")
     assert re.search(r"\b_\w", err) is None  # no private name such as _positive_int
 
 
