@@ -10,11 +10,12 @@ Blocks come from two cached (p, a) tables, and each block is built and
 counted once per table: the full table, which enumerate and verify read,
 and the table of ratio-minimal blocks, which the atlas and search read,
 since a group with any other block has a smaller twin of the same ratio
-(the twin lemma in :mod:`abelianaut.search`).  A sweep folds the counts
-into each group's |Aut| prime by prime and hands out (order, blocks,
-|Aut|) records, building no GroupShape (``realize`` and ``ratio_atlas``
-build one per witness); :func:`pgroup_shapes_up_to` hands verify the full
-table's own (block, |Aut|) records to check against the oracle.
+(the twin lemma in :mod:`abelianaut.search`).  :func:`_groups` folds
+the counts into each group's |Aut| prime by prime and hands out (order,
+blocks, |Aut|) records, building no GroupShape (``realize`` and
+``ratio_atlas`` build one per witness); :func:`pgroup_shapes_up_to` hands
+verify the full table's own (block, |Aut|) records to check against the
+oracle.
 """
 
 from __future__ import annotations
@@ -105,15 +106,21 @@ def _groups(minimal: bool, order: int, factors: dict[int, int]) -> list[_Record]
     return groups
 
 
-def _sweep(max_order: int, step: int = 1, minimal: bool = False) -> Iterator[_Record]:
-    """:func:`_groups` of each (order, factorization) pair that one sieve,
-    ``factorizations_up_to``, yields for order = step, 2step, ... <= max_order,
-    in one flat stream: every group, which enumerate reads, or only the
-    groups whose blocks are all ratio-minimal, which the atlas and search
-    read.  The bounds are checked on the call, not on the first read."""
+def _orders(max_order: int, step: int = 1) -> Iterator[tuple[int, dict[int, int]]]:
+    """``factorizations_up_to(max_order, step)``, the one sieve that enumerate,
+    the atlas and search read, with the bounds checked on the call, not on
+    the first read."""
     if not is_positive_int(max_order):
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
     if not is_positive_int(step):
         raise ValueError(f"step must be an integer >= 1, got {step!r}")
-    groups = partial(_groups, minimal)
-    return chain.from_iterable(starmap(groups, factorizations_up_to(max_order, step)))
+    return factorizations_up_to(max_order, step)
+
+
+def _sweep(max_order: int) -> Iterator[_Record]:
+    """:func:`_groups` from the full table of each order 1..max_order, in one
+    flat stream: every group, which enumerate reads.  The atlas and search
+    read :func:`_orders` and call :func:`_groups` on the ratio-minimal table
+    themselves, skipping the orders that the large-prime lemma in
+    :mod:`abelianaut.search` settles."""
+    return chain.from_iterable(starmap(partial(_groups, False), _orders(max_order)))

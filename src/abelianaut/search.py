@@ -67,12 +67,14 @@ mod 4, and the 2-block is Z_{2^e} or Z2 x Z2.  Then r is (q-1)/(2q) or
 Every other target a/b is searched for exhaustively.  |Aut(G)|/|G|
 reduces to a fraction whose denominator divides |G|, so only groups
 whose order is a multiple of b can realize a/b; the search reads the
-orders b, 2b, 3b, ... and each order's ratio-minimal groups (below) in
-enumeration order, with |Aut| from the block table, off the sweep the
-atlas reads with step 1, so the first hit is a witness of minimal group
-order.  Both build a GroupShape only for what they return.  Absence of a
-witness within bounds proves nothing (the full classification is open)
-and is reported as exactly that, never as unrealizable.
+orders b, 2b, 3b, ... off the sieve, skips each order that the
+large-prime lemma (below) rules out, and reads each other order's
+ratio-minimal groups (the twin lemma) in enumeration order, with |Aut|
+from the block table, so the first hit is a witness of minimal group
+order.  The atlas reads the same sieve and table with step 1.  Both
+build a GroupShape only for what they return.  Absence of a witness
+within bounds proves nothing (the full classification is open) and is
+reported as exactly that, never as unrealizable.
 
 Twin lemma.  Call a p-block with exponents e_1 <= ... <= e_n
 ratio-minimal when e_n <= e_{n-1} + 1, reading e_0 = 0 for a cyclic
@@ -107,10 +109,28 @@ the full sweep with the other groups left out, in the same order.
   each group has a G* of no larger order and the same ratio.
 - The time limit's bound n - 1: when time runs out on order n, every
   ratio-minimal group of order < n that is a multiple of b has been
-  tested.  A group H of order < n with ratio a/b would have such a G*,
-  of order <= |H| < n and ratio a/b, which would have hit.  Since every
-  multiple of b has a ratio-minimal group, the first record has order
-  b, and a zero time limit still gives b - 1.
+  tested, or its order was skipped as holding no group of ratio a/b.  A
+  group H of order < n with ratio a/b would have such a G*, of order <=
+  |H| < n and ratio a/b, which would have hit.  Every multiple of b has
+  a ratio-minimal group, and order b is never skipped (its largest prime
+  divides b), so the first record has order b, and a zero time limit
+  still gives b - 1.
+
+Large-prime lemma.  Let p be the largest prime of n, with p^2 > n.  Then
+p divides n once, so every group of order n is Z_p x G' with |G'| = n/p
+< p.  Each unit factor q^i - 1 of G' has q^i <= |G'| < p, so p divides
+neither |G'| nor |Aut(G')|, and v_p(r) = v_p((p-1)/p) = -1.
+- (a) No group of order n has ratio a/b when p does not divide b, so
+  realize skips order n before it builds a group of that order.
+- (b) Let also p^2 > N, the atlas's bound, and H of order <= N have
+  r(H) = r(Z_p x G').  Then v_p(r(H)) = -1, so p divides |H|, and its
+  p-block, of order < p^2, is Z_p: H = Z_p x H' with r(H') = r(G').  H
+  comes before Z_p x G' in the sweep exactly when H' comes before G',
+  since the one-entry Z_p table varies fastest.  So Z_p x G' is a first
+  witness exactly when G' is one, and no group without p has its ratio.
+  The atlas yields, at order n, Z_p times each first witness of order
+  n/p < sqrt(N), in order, and neither dedupes nor keeps those ratios.
+  Z_p is ratio-minimal, so this composes with the twin lemma.
 """
 
 from __future__ import annotations
@@ -220,32 +240,38 @@ def realize(
     time; both are checked before the target is screened.  A screened
     target returns the reason :func:`screen` gave.  A group of order n has
     a ratio whose reduced denominator divides n, so for a target a/b only
-    the orders b, 2b, ... <= max_order are visited (the enumeration's sweep
-    stepped by b, one (order, blocks, |Aut|) record per ratio-minimal
-    group), and a group hits when |Aut(G)| * b == a * n.  The first hit,
-    the only group built as a GroupShape, is returned, so the witness has
+    the orders b, 2b, ... <= max_order are visited, read off the sieve;
+    an order whose largest prime p has p^2 > n and does not divide b is
+    skipped before any of its groups is built, and every other order's
+    ratio-minimal groups are tested, one (order, blocks, |Aut|) record
+    each: a group hits when |Aut(G)| * b == a * n.  The first hit, the
+    only group built as a GroupShape, is returned, so the witness has
     minimal order (ties broken by enumeration order).  The time limit is
     checked before each group; run out on order n, it gives
     NotFoundWithinBounds(n - 1), since every order below n has been swept
-    or ruled out by divisibility.  The twin lemma in the module docstring
-    shows that leaving out the groups that are not ratio-minimal moves
-    neither the first hit nor that bound.
+    or ruled out.  The twin and large-prime lemmas in the module docstring
+    show that the groups left out move neither the first hit nor that
+    bound.
     """
     t = time_limit
     if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t >= 0):
         raise ValueError(f"time_limit must be a number of seconds >= 0, got {t!r}")
     target = _as_positive_fraction(target)
     a, b = target.numerator, target.denominator
-    sweep = enumeration._sweep(max_order, b, minimal=True)  # refuses a bad max_order
+    orders = enumeration._orders(max_order, b)  # refuses a bad max_order
     reason = screen(target)
     if reason is not None:
         return reason
     deadline = None if t is None else time.monotonic() + t
-    for order, blocks, aut in sweep:
-        if deadline is not None and time.monotonic() >= deadline:
-            return NotFoundWithinBounds(max_order_searched=order - 1)
-        if aut * b == a * order:
-            return GroupShape(blocks)
+    for order, factors in orders:
+        p = max(factors, default=1)
+        if p * p > order and b % p:  # the large-prime lemma (a): no group hits
+            continue
+        for _, blocks, aut in enumeration._groups(True, order, factors):
+            if deadline is not None and time.monotonic() >= deadline:
+                return NotFoundWithinBounds(max_order_searched=order - 1)
+            if aut * b == a * order:
+                return GroupShape(blocks)
     return NotFoundWithinBounds(max_order_searched=max_order)
 
 
@@ -272,17 +298,33 @@ def _first_witnesses(
     The sweep runs orders ascending, so each ratio comes with its
     minimal-order witness (ties broken by enumeration order); it reads only
     the ratio-minimal groups, among which, by the twin lemma in the module
-    docstring, every first witness is.  Ratios are deduped as
-    num * (max_order + 1) + den, one int per reduced pair (den <=
-    max_order).  The sweep checks the bound when the walk starts.
+    docstring, every first witness is.  An order whose largest prime p has
+    p^2 > max_order builds no group: by the large-prime lemma its first
+    witnesses are Z_p times those of order/p, whose (blocks, |Aut|) the walk
+    keeps for each order n with n^2 < max_order.  Every other order's ratios
+    are deduped as num * (max_order + 1) + den, one int per reduced pair
+    (den <= max_order).  The bound is checked when the walk starts.
     """
-    sweep = enumeration._sweep(max_order, minimal=True)  # refuses a bad max_order
+    orders = enumeration._orders(max_order)  # refuses a bad max_order
     radix = max_order + 1
     seen: set[int] = set()
-    for order, blocks, aut in sweep:
-        g = gcd(aut, order)
-        num, den = aut // g, order // g
-        key = num * radix + den
-        if key not in seen:
-            seen.add(key)
-            yield num, den, order, blocks
+    kept: dict[int, list[tuple[tuple[PGroupShape, ...], int]]] = {}
+    for order, factors in orders:
+        p = max(factors, default=1)
+        if p * p > max_order:  # the large-prime lemma (b)
+            ((z_p, units),) = enumeration._blocks(p, 1, True)
+            for blocks, aut in kept[order // p]:
+                g = gcd(aut * units, order)
+                yield aut * units // g, order // g, order, (*blocks, z_p)
+            continue
+        firsts = []
+        for _, blocks, aut in enumeration._groups(True, order, factors):
+            g = gcd(aut, order)
+            num, den = aut // g, order // g
+            key = num * radix + den
+            if key not in seen:
+                seen.add(key)
+                firsts.append((blocks, aut))
+                yield num, den, order, blocks
+        if order * order < max_order:
+            kept[order] = firsts

@@ -20,7 +20,9 @@ with that walk, so it stays as the reference both are checked against,
 and ``hillar_rhea_valuation_parts`` reads the walk's d and c off its
 position products.
 ``screen_false_proofs`` states the ratios of the screens' named witnesses
-by hand and finds the totients it needs by counting.  ``package_imports``
+by hand and finds the totients it needs by counting, and
+``large_prime_exceptions`` checks the search module's large-prime lemma on
+the reference enumerator's groups.  ``package_imports``
 reads the names a module takes from the package off its source, so a test
 can pin what a layer may call.
 """
@@ -219,6 +221,22 @@ def screen_false_proofs(max_order: int) -> list[tuple[Fraction, GroupShape]]:
         if ratio(group) != stated or screen(stated) is not None:
             false.append((Fraction(stated), group))
     return false
+
+
+def large_prime_exceptions(max_order: int) -> list[GroupShape]:
+    """Groups of order <= max_order whose largest prime p has p^2 > order but
+    does not divide the reduced denominator of the ratio: the exceptions to
+    the large-prime lemma of the search module, found with this module's own
+    enumerator and ``aut_order_p``.  An empty list is a pass."""
+    exceptions = []
+    for order in range(2, max_order + 1):
+        p = max(factorize(order))
+        if p * p > order:
+            for group in groups_of_order(order):
+                aut = prod(aut_order_p(f) for f in group.factors)
+                if order // gcd(aut, order) % p:
+                    exceptions.append(group)
+    return exceptions
 
 
 def package_imports(module: ModuleType) -> set[tuple[str, str | None]]:

@@ -6,7 +6,7 @@ import pytest
 
 from abelianaut import GroupShape, PGroupShape, partitions
 from abelianaut import enumeration
-from abelianaut.arith import factorize, primes_up_to
+from abelianaut.arith import factorize, factorizations_up_to, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
 from helpers import hillar_rhea_aut_order, package_imports, partition_count
 
@@ -115,15 +115,19 @@ def test_sweep_counts():
 @pytest.mark.parametrize("max_order, step", sorted(
     {(m, step) for m in (1, 300) for step in (1, 2, 6, 7, 30, m, m + 1)}))
 def test_sweep_step_keeps_the_multiples_of_step(max_order, step):
-    # the stepped sweep realize reads: the step-1 records of the multiples of step
+    # the stepped walk realize reads (there on the ratio-minimal table), the
+    # sieve stepped by step and each order's groups: the step-1 records of
+    # the multiples of step
     want = [record for record in enumeration._sweep(max_order) if record[0] % step == 0]
-    assert list(enumeration._sweep(max_order, step)) == want
+    got = [record for order, factors in enumeration._orders(max_order, step)
+           for record in enumeration._groups(False, order, factors)]
+    assert got == want
 
 
 @pytest.mark.parametrize("max_order, step", [(0, 1), (10, 0), (10, -3)])
 def test_sweep_rejects_bounds_below_1(max_order, step):
-    with pytest.raises(ValueError):  # when called, before any record is read
-        enumeration._sweep(max_order, step)
+    with pytest.raises(ValueError):  # when called, before any order is read
+        enumeration._orders(max_order, step)
 
 
 def test_stream_deterministic():
@@ -137,8 +141,9 @@ def test_the_minimal_sweep_keeps_the_ratio_minimal_records_in_order():
         return all(b.exponents[-1] <= (b.exponents[-2:-1] or (0,))[0] + 1 for b in blocks)
 
     for step in (1, 6):
-        want = [r for r in enumeration._sweep(600, step) if minimal(r[1])]
-        assert list(enumeration._sweep(600, step, minimal=True)) == want
+        for order, factors in factorizations_up_to(600, step):
+            want = [r for r in enumeration._groups(False, order, factors) if minimal(r[1])]
+            assert enumeration._groups(True, order, factors) == want, order
 
 
 def test_the_ratio_minimal_table_builds_only_the_blocks_it_keeps(monkeypatch):

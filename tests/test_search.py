@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -23,7 +25,7 @@ from abelianaut import (
 )
 from abelianaut import core, enumeration, search
 from abelianaut.cli import main
-from helpers import reference_atlas
+from helpers import groups_of_order, reference_atlas
 
 
 # ------------------------------------------------------------------ screen
@@ -219,7 +221,7 @@ def test_a_bad_max_order_is_refused_by_name_without_the_sweeps_step(call):
     lambda v: realize(7, max_order=v),
     lambda v: count_automorphisms(PGroupShape(2, (1,)), v),
     lambda v: list(enumeration._sweep(v)),
-    lambda v: list(enumeration._sweep(4, v)),
+    lambda v: enumeration._orders(4, v),
     lambda v: ratio_atlas(v),
     lambda v: list(search._first_witnesses(v)),
     lambda v: list(partitions(v)),
@@ -299,12 +301,12 @@ def _first_witnesses_of(records):
             yield (*reduced, order, blocks)
 
 
-def _full_first_hit(target, max_order):
-    """The first group of the full sweep stepped by the denominator that
-    realizes ``target``, or None."""
+def _full_first_hit(target, records):
+    """The first group among the full sweep's ``records`` whose order the
+    denominator of ``target`` divides and that realizes ``target``, or None."""
     a, b = target.numerator, target.denominator
-    for order, blocks, aut in enumeration._sweep(max_order, b):
-        if aut * b == a * order:
+    for order, blocks, aut in records:
+        if order % b == 0 and aut * b == a * order:
             return GroupShape(blocks)
     return None
 
@@ -314,16 +316,17 @@ def test_the_fold_equals_the_full_sweep():
     # smaller twin of the same ratio, so skipping it moves no first witness.
     full = list(enumeration._sweep(20000))
     assert len(full) == 44766
-    assert sum(1 for _ in enumeration._sweep(20000, minimal=True)) == 27734
+    assert sum(len(enumeration._groups(True, order, factors))
+               for order, factors in enumeration._orders(20000)) == 27734
     assert list(search._first_witnesses(20000)) == list(_first_witnesses_of(full))
 
 
 def test_realize_equals_the_full_sweeps_first_hit():
-    targets = [Fraction(num, den)
-               for num, den, _, _ in _first_witnesses_of(enumeration._sweep(2000))]
+    full = list(enumeration._sweep(2000))
+    targets = [Fraction(num, den) for num, den, _, _ in _first_witnesses_of(full)]
     assert len(targets) == 2332
     for target in targets:
-        assert realize(target, max_order=2000) == _full_first_hit(target, 2000), target
+        assert realize(target, max_order=2000) == _full_first_hit(target, full), target
 
 
 @pytest.mark.parametrize("target, below_b", [
@@ -334,6 +337,79 @@ def test_realize_bounds_are_unmoved_by_the_fold(target, below_b):
         assert realize(target, max_order=10**4) == NotFoundWithinBounds(10**4)
     # the fold visits every multiple of b, so the first record is at order b
     assert realize(target, max_order=10**4, time_limit=0) == NotFoundWithinBounds(below_b)
+
+
+def _largest_prime(n):
+    return max(factorize(n), default=1)
+
+
+def test_a_large_prime_of_the_order_divides_every_denominator():
+    # ROADMAP item 21: when the largest prime p of n has p^2 > n, every group
+    # of order n is Z_p x G' with p prime to |G'| and |Aut(G')|, so p divides
+    # the reduced denominator; checked on every group, not only the
+    # ratio-minimal ones.
+    orders = [n for n in range(2, 3001) if _largest_prime(n) ** 2 > n]
+    assert len(orders) == 2177
+    for n in orders:
+        p = _largest_prime(n)
+        for group in groups_of_order(n):
+            assert ratio(group).denominator % p == 0, group
+
+
+def test_the_atlas_at_a_large_prime_order_is_z_p_times_the_order_below():
+    # ROADMAP item 21 (b): for p^2 > N, the first witnesses of order n are
+    # Z_p times those of order n/p, in order, each with (p-1)/p times its ratio.
+    def by_order(atlas):
+        rows = defaultdict(list)
+        for r, group in atlas.items():
+            rows[group.order].append((r, group))
+        return rows
+
+    max_order = 600
+    rows, below = by_order(ratio_atlas(max_order)), by_order(reference_atlas(max_order))
+    large = [n for n in range(2, max_order + 1) if _largest_prime(n) ** 2 > max_order]
+    assert sum(len(rows[n]) for n in large) == 331
+    for n in large:
+        p = _largest_prime(n)
+        z_p = PGroupShape(p, (1,))
+        assert rows[n] == [(r * Fraction(p - 1, p), GroupShape((*group.factors, z_p)))
+                           for r, group in below[n // p]], n
+
+
+def test_realize_builds_no_group_of_an_order_it_skips(monkeypatch):
+    # ROADMAP item 21 (a): an order whose largest prime p has p^2 > n holds no
+    # group of ratio a/b unless p divides b, so realize never builds one.
+    built = []
+    groups = enumeration._groups
+
+    def recorded(minimal, order, factors):
+        built.append(order)
+        return groups(minimal, order, factors)
+
+    monkeypatch.setattr(enumeration, "_groups", recorded)
+    assert realize(Fraction(10), max_order=10**4) == NotFoundWithinBounds(10**4)
+    assert built == [n for n in range(1, 10**4 + 1) if _largest_prime(n) ** 2 <= n]
+    built.clear()  # 5471 is prime, and it divides the denominator
+    witness = realize(Fraction(5470, 5471), max_order=10**4)
+    assert witness == GroupShape.from_exponents({5471: [1]})
+    assert built == [5471]
+
+
+def test_the_first_witness_walk_keeps_its_dedupe_set_small():
+    # The bound guards the dedupe set, not the block table.  Hashing every
+    # one of the 23,533 ratios at 20,000 put the set in a 131,072-slot table
+    # (2 MiB) and the traced peak at about 3.95 MiB; the orders with a prime
+    # past sqrt(20,000) add no key, so 13,484 of the 27,734 groups are hashed
+    # and the peak is about 1.8 MiB, the rebuilt block table included.
+    enumeration._blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        for _ in search._first_witnesses(20000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_block_table_keeps_no_patched_count(monkeypatch, capsys):
