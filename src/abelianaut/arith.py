@@ -146,6 +146,10 @@ def factorizations_up_to(n: int, step: int = 1) -> Iterator[tuple[int, dict[int,
     rebuilt at twice the size whenever j outgrows it: it holds at most
     about 2j machine ints and lives only as long as the iterator.  The
     step's primes are merged into j's only when the step is above 1.
+
+    This is the one sieve that every walk over the orders reads: enumerate,
+    the atlas and ``realize``.  It checks neither bound: each caller checks
+    its own ``max_order``.
     """
     base = factorize(step) if step <= n else {}
     spf = array("I")

@@ -168,10 +168,11 @@ def cmd_valuation(args: argparse.Namespace) -> int:
 
 
 def _enumerate_rows(max_order: int) -> Iterator[dict]:
-    for order, blocks, aut in enumeration._sweep(max_order):
-        g = gcd(aut, order)
-        yield {"order": order, "group": core.blocks_text(blocks), "aut_order": aut,
-               "ratio_num": aut // g, "ratio_den": order // g}
+    for order, factors in arith.factorizations_up_to(max_order):
+        for blocks, aut in enumeration._groups(False, factors):
+            g = gcd(aut, order)
+            yield {"order": order, "group": core.blocks_text(blocks), "aut_order": aut,
+                   "ratio_num": aut // g, "ratio_den": order // g}
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

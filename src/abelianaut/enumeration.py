@@ -6,28 +6,24 @@ duplicate-free by construction.  The order of emission is deterministic
 and documented, because downstream searches return the first hit and
 therefore rely on it for witness minimality.
 
-Blocks come from two cached (p, a) tables, and each block is built and
-counted once per table: the full table, which enumerate and verify read,
-and the table of ratio-minimal blocks, which the atlas and search read,
-since a group with any other block has a smaller twin of the same ratio
-(the twin lemma in :mod:`abelianaut.search`).  :func:`_groups` folds
-the counts into each group's |Aut| prime by prime and hands out (order,
-blocks, |Aut|) records, building no GroupShape (``realize`` and
-``ratio_atlas`` build one per witness); :func:`pgroup_shapes_up_to` hands
-verify the full table's own (block, |Aut|) records to check against the
-oracle.
+This module holds the block tables and the groups of one factored
+order; the walks over the orders read the sieve themselves.  Blocks
+come from two cached (p, a) tables of (block, |Aut|) records, each block
+built and counted once per table: the full table, which enumerate and
+verify read, and the table of ratio-minimal blocks, which the atlas and
+realize read, since a group with any other block has a smaller twin of
+the same ratio (the twin lemma in :mod:`abelianaut.search`).
+:func:`_groups` folds the counts into each group's |Aut| and builds no
+GroupShape.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cache, partial
-from itertools import chain, starmap
+from functools import cache
 
-from .arith import factorizations_up_to, is_positive_int, primes_up_to
+from .arith import is_positive_int, primes_up_to
 from .core import PGroupShape, aut_order_p
-
-_Record = tuple[int, tuple[PGroupShape, ...], int]  # (order, blocks, |Aut|)
 
 
 def partitions(total: int) -> Iterator[tuple[int, ...]]:
@@ -62,9 +58,8 @@ def _ratio_minimal(exponents: tuple[int, ...]) -> bool:
 @cache
 def _blocks(p: int, a: int, minimal: bool) -> tuple[tuple[PGroupShape, int], ...]:
     """(block, |Aut(block)|) for each p-group of order p^a in :func:`partitions`
-    order, or only for each ratio-minimal one when ``minimal``: ``enumerate``
-    and verify read the full table, the atlas and ``realize`` the minimal one;
-    a process that reads both counts a ratio-minimal block once in each, with
+    order, or only for each ratio-minimal one when ``minimal``; a process
+    that reads both tables counts a ratio-minimal block once in each, with
     the same ``aut_order_p``.  The two tables share this cache, so clearing
     it clears both, and the minimal one filters the partitions, so it builds
     no block that it drops.  Counted by the ``aut_order_p`` bound at import,
@@ -93,34 +88,15 @@ def pgroup_shapes_up_to(max_order: int) -> Iterator[tuple[PGroupShape, int]]:
             a += 1
 
 
-def _groups(minimal: bool, order: int, factors: dict[int, int]) -> list[_Record]:
-    """(order, blocks, |Aut|) per group of the order ``factors`` spells, its
-    blocks read from the ``minimal`` or the full table, primes ascending,
-    the partition of the largest prime varying fastest; |Aut| folded prime
-    by prime."""
-    groups = [(order, (), 1)]
+def _groups(minimal: bool,
+            factors: dict[int, int]) -> list[tuple[tuple[PGroupShape, ...], int]]:
+    """(blocks, |Aut|) per group of the order ``factors`` spells, its blocks
+    read from the ``minimal`` or the full table, primes ascending, the
+    partition of the largest prime varying fastest; |Aut| folded prime by
+    prime."""
+    groups = [((), 1)]
     for p, a in factors.items():
         table = _blocks(p, a, minimal)
-        groups = [(order, blocks + (shape,), aut * block_aut)
-                  for _, blocks, aut in groups for shape, block_aut in table]
+        groups = [(blocks + (shape,), aut * block_aut)
+                  for blocks, aut in groups for shape, block_aut in table]
     return groups
-
-
-def _orders(max_order: int, step: int = 1) -> Iterator[tuple[int, dict[int, int]]]:
-    """``factorizations_up_to(max_order, step)``, the one sieve that enumerate,
-    the atlas and search read, with the bounds checked on the call, not on
-    the first read."""
-    if not is_positive_int(max_order):
-        raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
-    if not is_positive_int(step):
-        raise ValueError(f"step must be an integer >= 1, got {step!r}")
-    return factorizations_up_to(max_order, step)
-
-
-def _sweep(max_order: int) -> Iterator[_Record]:
-    """:func:`_groups` from the full table of each order 1..max_order, in one
-    flat stream: every group, which enumerate reads.  The atlas and search
-    read :func:`_orders` and call :func:`_groups` on the ratio-minimal table
-    themselves, skipping the orders that the large-prime lemma in
-    :mod:`abelianaut.search` settles."""
-    return chain.from_iterable(starmap(partial(_groups, False), _orders(max_order)))

@@ -64,17 +64,11 @@ exactly 1 to v_2, so it is Z_{q^f} with v_2(q - 1) = 1, that is q = 3
 mod 4, and the 2-block is Z_{2^e} or Z2 x Z2.  Then r is (q-1)/(2q) or
 3(q-1)/(2q), with b = q once r is not an integer.
 
-Every other target a/b is searched for exhaustively.  |Aut(G)|/|G|
-reduces to a fraction whose denominator divides |G|, so only groups
-whose order is a multiple of b can realize a/b; the search reads the
-orders b, 2b, 3b, ... off the sieve, skips each order that the
-large-prime lemma (below) rules out, and reads each other order's
-ratio-minimal groups (the twin lemma) in enumeration order, with |Aut|
-from the block table, so the first hit is a witness of minimal group
-order.  The atlas reads the same sieve and table with step 1.  Both
-build a GroupShape only for what they return.  Absence of a witness
-within bounds proves nothing (the full classification is open) and is
-reported as exactly that, never as unrealizable.
+Every other target a/b is searched for exhaustively, by :func:`realize`.
+|Aut(G)|/|G| reduces to a fraction whose denominator divides |G|, so
+only groups whose order is a multiple of b can realize a/b.  Absence of
+a witness within bounds proves nothing (the full classification is
+open) and is reported as exactly that, never as unrealizable.
 
 Twin lemma.  Call a p-block with exponents e_1 <= ... <= e_n
 ratio-minimal when e_n <= e_{n-1} + 1, reading e_0 = 0 for a cyclic
@@ -93,9 +87,9 @@ any group G to a ratio-minimal group G* of the same ratio with |G*| <
 |G| unless G is ratio-minimal itself.  Every order has a ratio-minimal
 group: take Z_p^a for each p^a.
 
-So the atlas and the search sweep only the ratio-minimal groups, from a
-table of ratio-minimal blocks that builds no other block.  This sweep is
-the full sweep with the other groups left out, in the same order.
+So a sweep of the ratio-minimal groups alone, which is the full sweep
+with the other groups left out, in the same order, gives the same atlas,
+the same first hits and the same time-limit bound.
 - The atlas: a first witness G of a ratio is ratio-minimal, or its twin,
   of smaller order and the same ratio, would come before it in the full
   sweep.  So the fold meets each ratio first at the same witness, meets
@@ -143,7 +137,8 @@ from math import gcd
 from numbers import Rational, Real
 
 from . import enumeration
-from .arith import FactorizationOverflow, factorize, is_prime
+from .arith import (FactorizationOverflow, factorizations_up_to, factorize,
+                    is_positive_int, is_prime)
 from .core import GroupShape, PGroupShape, _FrozenValue
 
 
@@ -238,13 +233,11 @@ def realize(
     ``max_order`` (an int >= 1) caps the group order swept, and
     ``time_limit`` (None, or a number of seconds >= 0) caps the wall-clock
     time; both are checked before the target is screened.  A screened
-    target returns the reason :func:`screen` gave.  A group of order n has
-    a ratio whose reduced denominator divides n, so for a target a/b only
-    the orders b, 2b, ... <= max_order are visited, read off the sieve;
-    an order whose largest prime p has p^2 > n and does not divide b is
-    skipped before any of its groups is built, and every other order's
-    ratio-minimal groups are tested, one (order, blocks, |Aut|) record
-    each: a group hits when |Aut(G)| * b == a * n.  The first hit, the
+    target returns the reason :func:`screen` gave.  For a target a/b only
+    the orders b, 2b, ... <= max_order are visited; an order whose largest
+    prime p has p^2 > n and does not divide b is skipped before any of its
+    groups is built, and every other order's ratio-minimal groups are
+    tested: a group hits when |Aut(G)| * b == a * n.  The first hit, the
     only group built as a GroupShape, is returned, so the witness has
     minimal order (ties broken by enumeration order).  The time limit is
     checked before each group; run out on order n, it gives
@@ -257,17 +250,18 @@ def realize(
     if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t >= 0):
         raise ValueError(f"time_limit must be a number of seconds >= 0, got {t!r}")
     target = _as_positive_fraction(target)
+    if not is_positive_int(max_order):
+        raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
     a, b = target.numerator, target.denominator
-    orders = enumeration._orders(max_order, b)  # refuses a bad max_order
     reason = screen(target)
     if reason is not None:
         return reason
     deadline = None if t is None else time.monotonic() + t
-    for order, factors in orders:
+    for order, factors in factorizations_up_to(max_order, b):
         p = max(factors, default=1)
         if p * p > order and b % p:  # the large-prime lemma (a): no group hits
             continue
-        for _, blocks, aut in enumeration._groups(True, order, factors):
+        for blocks, aut in enumeration._groups(True, factors):
             if deadline is not None and time.monotonic() >= deadline:
                 return NotFoundWithinBounds(max_order_searched=order - 1)
             if aut * b == a * order:
@@ -305,11 +299,12 @@ def _first_witnesses(
     are deduped as num * (max_order + 1) + den, one int per reduced pair
     (den <= max_order).  The bound is checked when the walk starts.
     """
-    orders = enumeration._orders(max_order)  # refuses a bad max_order
+    if not is_positive_int(max_order):
+        raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
     radix = max_order + 1
     seen: set[int] = set()
     kept: dict[int, list[tuple[tuple[PGroupShape, ...], int]]] = {}
-    for order, factors in orders:
+    for order, factors in factorizations_up_to(max_order):
         p = max(factors, default=1)
         if p * p > max_order:  # the large-prime lemma (b)
             ((z_p, units),) = enumeration._blocks(p, 1, True)
@@ -318,7 +313,7 @@ def _first_witnesses(
                 yield aut * units // g, order // g, order, (*blocks, z_p)
             continue
         firsts = []
-        for _, blocks, aut in enumeration._groups(True, order, factors):
+        for blocks, aut in enumeration._groups(True, factors):
             g = gcd(aut, order)
             num, den = aut // g, order // g
             key = num * radix + den

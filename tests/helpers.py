@@ -24,7 +24,9 @@ by hand and finds the totients it needs by counting, and
 ``large_prime_exceptions`` checks the search module's large-prime lemma on
 the reference enumerator's groups.  ``package_imports``
 reads the names a module takes from the package off its source, so a test
-can pin what a layer may call.
+can pin what a layer may call.  ``sweep`` alone is no oracle: it is the
+library's own walk over every group, the sieve and ``_groups`` of each
+order, which the tests check against the oracles here.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from abelianaut import (
     ratio_atlas,
     screen,
 )
+from abelianaut.arith import factorizations_up_to
 from abelianaut.core import ValuationParts
+from abelianaut.enumeration import _groups
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +189,11 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
                  for p, a in sorted(factorize(order).items())]
     for blocks in product(*per_prime):
         yield GroupShape(blocks)
+
+
+def sweep(max_order: int) -> Iterator[tuple[int, tuple[PGroupShape, ...], int]]:
+    """(order, blocks, |Aut|) per group of order <= ``max_order``, as enumerate prints."""
+    return ((n, *g) for n, f in factorizations_up_to(max_order) for g in _groups(False, f))
 
 
 def reference_atlas(max_order: int) -> dict[Fraction, GroupShape]:

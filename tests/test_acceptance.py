@@ -29,7 +29,6 @@ from abelianaut import (
     realize,
     screen,
 )
-from abelianaut import enumeration
 from abelianaut.arith import factorize, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     multiplicity,
     partition_count,
     screen_false_proofs,
+    sweep,
 )
 
 
@@ -205,7 +205,7 @@ def test_criterion_7_search_behaviors():
 
 def test_criterion_8_enumeration_counts():
     """Streamed group counts match an independent partition recurrence."""
-    got = Counter(order for order, _, _ in enumeration._sweep(10**4))
+    got = Counter(order for order, _, _ in sweep(10**4))
     bad = []
     for n in range(1, 10**4 + 1):
         expected = prod(partition_count(a) for a in factorize(n).values())

@@ -23,7 +23,6 @@ from abelianaut import (
     p_valuation_of_aut,
     ratio,
 )
-from abelianaut import enumeration
 from abelianaut.core import ValuationParts
 from abelianaut.enumeration import partitions, pgroup_shapes_up_to
 from abelianaut.cli import parse_group
@@ -35,6 +34,7 @@ from helpers import (
     invariant_factors,
     multiplicity,
     naive_automorphism_count,
+    sweep,
 )
 
 
@@ -177,7 +177,7 @@ def test_canonicalize_errors():
 
 
 def test_canonicalize_idempotent_on_enumerated_groups():
-    for _, blocks, _ in enumeration._sweep(200):
+    for _, blocks, _ in sweep(200):
         g = GroupShape(blocks)
         assert canonicalize([f.p**e for f in g.factors for e in f.exponents]) == g
 
@@ -362,7 +362,7 @@ def test_rank3_family_fails_at_i_1():
 
 
 def test_ratio_denominators_squarefree_small_sweep():
-    for _, blocks, _ in enumeration._sweep(300):
+    for _, blocks, _ in sweep(300):
         g = GroupShape(blocks)
         assert all(e == 1 for e in factorize(ratio(g).denominator).values())
 

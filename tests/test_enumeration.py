@@ -8,7 +8,7 @@ from abelianaut import GroupShape, PGroupShape, partitions
 from abelianaut import enumeration
 from abelianaut.arith import factorize, factorizations_up_to, primes_up_to
 from abelianaut.enumeration import pgroup_shapes_up_to
-from helpers import hillar_rhea_aut_order, package_imports, partition_count
+from helpers import hillar_rhea_aut_order, package_imports, partition_count, sweep
 
 
 # -------------------------------------------------------------- partitions
@@ -47,7 +47,7 @@ def test_partitions_no_duplicates():
 def _by_order(max_order):
     """The blocks of each record of the sweep to ``max_order``, per order."""
     by_order = defaultdict(list)
-    for order, blocks, _ in enumeration._sweep(max_order):
+    for order, blocks, _ in sweep(max_order):
         by_order[order].append(blocks)
     return by_order
 
@@ -79,20 +79,20 @@ def test_groups_of_order_no_duplicates():
 
 
 def test_enumeration_imports_no_trial_division_or_group():
-    # The sweep reads its factorizations off the sieve and hands out plain
-    # records: from the package it takes the sieve, the integer rule, the
-    # primes, the block and its |Aut|, nothing that factors one order or
-    # builds a GroupShape.
+    # The block tables and the groups of one factored order hand out plain
+    # records: from the package they take the integer rule, the primes, the
+    # block and its |Aut|, nothing that factors an order or builds a
+    # GroupShape, and the walks read the sieve themselves.
     assert package_imports(enumeration) == {
-        (".arith", "factorizations_up_to"), (".arith", "is_positive_int"),
-        (".arith", "primes_up_to"), (".core", "PGroupShape"), (".core", "aut_order_p")}
+        (".arith", "is_positive_int"), (".arith", "primes_up_to"),
+        (".core", "PGroupShape"), (".core", "aut_order_p")}
 
 
 # ----------------------------------------------------------- the sweep to N
 
 def _up_to(max_order):
     """(order, group) per record of the sweep that enumerate prints."""
-    return [(order, GroupShape(blocks)) for order, blocks, _ in enumeration._sweep(max_order)]
+    return [(order, GroupShape(blocks)) for order, blocks, _ in sweep(max_order)]
 
 
 def test_sweep_small_exact():
@@ -118,16 +118,10 @@ def test_sweep_step_keeps_the_multiples_of_step(max_order, step):
     # the stepped walk realize reads (there on the ratio-minimal table), the
     # sieve stepped by step and each order's groups: the step-1 records of
     # the multiples of step
-    want = [record for record in enumeration._sweep(max_order) if record[0] % step == 0]
-    got = [record for order, factors in enumeration._orders(max_order, step)
-           for record in enumeration._groups(False, order, factors)]
+    want = [record for record in sweep(max_order) if record[0] % step == 0]
+    got = [(order, *group) for order, factors in factorizations_up_to(max_order, step)
+           for group in enumeration._groups(False, factors)]
     assert got == want
-
-
-@pytest.mark.parametrize("max_order, step", [(0, 1), (10, 0), (10, -3)])
-def test_sweep_rejects_bounds_below_1(max_order, step):
-    with pytest.raises(ValueError):  # when called, before any order is read
-        enumeration._orders(max_order, step)
 
 
 def test_stream_deterministic():
@@ -142,8 +136,8 @@ def test_the_minimal_sweep_keeps_the_ratio_minimal_records_in_order():
 
     for step in (1, 6):
         for order, factors in factorizations_up_to(600, step):
-            want = [r for r in enumeration._groups(False, order, factors) if minimal(r[1])]
-            assert enumeration._groups(True, order, factors) == want, order
+            want = [r for r in enumeration._groups(False, factors) if minimal(r[0])]
+            assert enumeration._groups(True, factors) == want, order
 
 
 def test_the_ratio_minimal_table_builds_only_the_blocks_it_keeps(monkeypatch):

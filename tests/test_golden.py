@@ -19,10 +19,9 @@ from pathlib import Path
 import pytest
 
 from abelianaut import GroupShape, PGroupShape, aut_order, factorize
-from abelianaut import enumeration
 from abelianaut.arith import factorizations_up_to
 from abelianaut.cli import main
-from helpers import groups_of_order
+from helpers import groups_of_order, sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,7 +65,7 @@ def test_sweep_is_the_reference_enumeration_concatenated():
     want = chain.from_iterable(
         ((n, g) for g in groups_of_order(n)) for n in range(1, 2001))
     got = [(order, GroupShape(blocks), aut)
-           for order, blocks, aut in enumeration._sweep(2000)]
+           for order, blocks, aut in sweep(2000)]
     assert [(order, g) for order, g, _ in got] == list(want)
     # |Aut| folded from the block table, against the closed form per group
     assert all(aut == aut_order(g) for _, g, aut in got)

@@ -2,7 +2,7 @@ import tracemalloc
 from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +24,9 @@ from abelianaut import (
     screen,
 )
 from abelianaut import core, enumeration, search
+from abelianaut.arith import factorizations_up_to
 from abelianaut.cli import main
-from helpers import groups_of_order, reference_atlas
+from helpers import groups_of_order, reference_atlas, sweep
 
 
 # ------------------------------------------------------------------ screen
@@ -220,14 +221,12 @@ def test_a_bad_max_order_is_refused_by_name_without_the_sweeps_step(call):
 @pytest.mark.parametrize("entry", [
     lambda v: realize(7, max_order=v),
     lambda v: count_automorphisms(PGroupShape(2, (1,)), v),
-    lambda v: list(enumeration._sweep(v)),
-    lambda v: enumeration._orders(4, v),
     lambda v: ratio_atlas(v),
     lambda v: list(search._first_witnesses(v)),
     lambda v: list(partitions(v)),
     lambda v: list(enumeration.pgroup_shapes_up_to(v)),
-], ids=["search-max-order", "oracle-budget", "sweep-max-order", "sweep-step", "atlas",
-        "first-witnesses", "partitions", "pgroup-shapes"])
+], ids=["search-max-order", "oracle-budget", "atlas", "first-witnesses", "partitions",
+        "pgroup-shapes"])
 def test_bounds_take_only_integers_from_1(entry, bad):
     # a bool is an int to Python, but True as a bound is a caller's mistake
     with pytest.raises(ValueError):
@@ -314,15 +313,15 @@ def _full_first_hit(target, records):
 def test_the_fold_equals_the_full_sweep():
     # ROADMAP item 11: a group with a block that is not ratio-minimal has a
     # smaller twin of the same ratio, so skipping it moves no first witness.
-    full = list(enumeration._sweep(20000))
+    full = list(sweep(20000))
     assert len(full) == 44766
-    assert sum(len(enumeration._groups(True, order, factors))
-               for order, factors in enumeration._orders(20000)) == 27734
+    assert sum(len(enumeration._groups(True, factors))
+               for _, factors in factorizations_up_to(20000)) == 27734
     assert list(search._first_witnesses(20000)) == list(_first_witnesses_of(full))
 
 
 def test_realize_equals_the_full_sweeps_first_hit():
-    full = list(enumeration._sweep(2000))
+    full = list(sweep(2000))
     targets = [Fraction(num, den) for num, den, _, _ in _first_witnesses_of(full)]
     assert len(targets) == 2332
     for target in targets:
@@ -382,9 +381,9 @@ def test_realize_builds_no_group_of_an_order_it_skips(monkeypatch):
     built = []
     groups = enumeration._groups
 
-    def recorded(minimal, order, factors):
-        built.append(order)
-        return groups(minimal, order, factors)
+    def recorded(minimal, factors):
+        built.append(prod(p**a for p, a in factors.items()))
+        return groups(minimal, factors)
 
     monkeypatch.setattr(enumeration, "_groups", recorded)
     assert realize(Fraction(10), max_order=10**4) == NotFoundWithinBounds(10**4)
