@@ -148,8 +148,8 @@ def factorizations_up_to(n: int, step: int = 1) -> Iterator[tuple[int, dict[int,
     step's primes are merged into j's only when the step is above 1.
 
     This is the one sieve that every walk over the orders reads: enumerate,
-    the atlas and ``realize``.  It checks neither bound: each caller checks
-    its own ``max_order``.
+    verify, the atlas and ``realize``.  It checks neither bound: each caller
+    checks its own ``max_order``.
     """
     base = factorize(step) if step <= n else {}
     spf = array("I")

@@ -220,15 +220,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checked = 0
     skipped = 0
     mismatches: list[tuple[core.PGroupShape, int, int]] = []
-    for shape, expected in enumeration.pgroup_shapes_up_to(args.max_order):
-        try:
-            counted = oracle.count_automorphisms(shape, args.budget)
-        except oracle.BudgetExceeded:
-            skipped += 1
+    for _, factors in arith.factorizations_up_to(args.max_order):
+        if len(factors) != 1:
             continue
-        checked += 1
-        if expected != counted:
-            mismatches.append((shape, expected, counted))
+        for (shape,), expected in enumeration._groups(False, factors):
+            try:
+                counted = oracle.count_automorphisms(shape, args.budget)
+            except oracle.BudgetExceeded:
+                skipped += 1
+                continue
+            checked += 1
+            if expected != counted:
+                mismatches.append((shape, expected, counted))
     row = {"checked": checked, "skipped": skipped, "mismatches": len(mismatches)}
     _emit([row], args.format,
           lambda r: (f"checked={r['checked']} skipped={r['skipped']} "

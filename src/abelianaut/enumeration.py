@@ -6,13 +6,15 @@ duplicate-free by construction.  The order of emission is deterministic
 and documented, because downstream searches return the first hit and
 therefore rely on it for witness minimality.
 
-This module holds the block tables and the groups of one factored
-order; the walks over the orders read the sieve themselves.  Blocks
-come from two cached (p, a) tables of (block, |Aut|) records, each block
-built and counted once per table: the full table, which enumerate and
-verify read, and the table of ratio-minimal blocks, which the atlas and
-realize read, since a group with any other block has a smaller twin of
-the same ratio (the twin lemma in :mod:`abelianaut.search`).
+This module holds the partitions, the block tables and the groups of
+one factored order.  It walks no orders: enumerate, verify, the atlas
+and realize each read the sieve and call :func:`_groups` per order,
+verify only on the orders of one prime.  Blocks come from two cached
+(p, a) tables of (block, |Aut|) records, each block built and counted
+once per table: the full table, which enumerate and verify read, and
+the table of ratio-minimal blocks, which the atlas and realize read,
+since a group with any other block has a smaller twin of the same ratio
+(the twin lemma in :mod:`abelianaut.search`).
 :func:`_groups` folds the counts into each group's |Aut| and builds no
 GroupShape.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cache
 
-from .arith import is_positive_int, primes_up_to
+from .arith import is_positive_int
 from .core import PGroupShape, aut_order_p
 
 
@@ -69,23 +71,6 @@ def _blocks(p: int, a: int, minimal: bool) -> tuple[tuple[PGroupShape, int], ...
         exponents = filter(_ratio_minimal, exponents)
     shapes = [PGroupShape(p, exps) for exps in exponents]
     return tuple(zip(shapes, map(aut_order_p, shapes)))
-
-
-def pgroup_shapes_up_to(max_order: int) -> Iterator[tuple[PGroupShape, int]]:
-    """(block, |Aut(block)|) of the table for every abelian p-group of order
-    <= ``max_order``, each exactly once.
-
-    Primes ascending, then the exponent a of |G| = p^a ascending, then
-    :func:`partitions` order within one p^a.  ``max_order`` must be an int
-    >= 1 (a bool is not taken for one), else ValueError.
-    """
-    if not is_positive_int(max_order):
-        raise ValueError(f"need an integer >= 1, got {max_order!r}")
-    for p in primes_up_to(max_order):
-        a = 1
-        while p**a <= max_order:
-            yield from _blocks(p, a, False)
-            a += 1
 
 
 def _groups(minimal: bool,

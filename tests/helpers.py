@@ -24,9 +24,11 @@ by hand and finds the totients it needs by counting, and
 ``large_prime_exceptions`` checks the search module's large-prime lemma on
 the reference enumerator's groups.  ``package_imports``
 reads the names a module takes from the package off its source, so a test
-can pin what a layer may call.  ``sweep`` alone is no oracle: it is the
-library's own walk over every group, the sieve and ``_groups`` of each
-order, which the tests check against the oracles here.
+can pin what a layer may call.  ``sweep`` and ``pgroup_records`` alone
+are no oracles: they are the library's own walks, the sieve and
+``_groups`` of each order, over every group as enumerate prints it and
+over the groups of prime-power order as verify checks them, which the
+tests check against the oracles here.
 """
 
 from __future__ import annotations
@@ -194,6 +196,12 @@ def groups_of_order(order: int) -> Iterator[GroupShape]:
 def sweep(max_order: int) -> Iterator[tuple[int, tuple[PGroupShape, ...], int]]:
     """(order, blocks, |Aut|) per group of order <= ``max_order``, as enumerate prints."""
     return ((n, *g) for n, f in factorizations_up_to(max_order) for g in _groups(False, f))
+
+
+def pgroup_records(max_order: int) -> Iterator[tuple[PGroupShape, int]]:
+    """(block, |Aut|) per group of prime-power order <= ``max_order``, as verify checks."""
+    return ((block, aut) for _, f in factorizations_up_to(max_order) if len(f) == 1
+            for (block,), aut in _groups(False, f))
 
 
 def reference_atlas(max_order: int) -> dict[Fraction, GroupShape]:

@@ -30,12 +30,12 @@ from abelianaut import (
     screen,
 )
 from abelianaut.arith import factorize, primes_up_to
-from abelianaut.enumeration import pgroup_shapes_up_to
 from helpers import (
     groups_of_order,
     hillar_rhea_aut_order,
     multiplicity,
     partition_count,
+    pgroup_records,
     screen_false_proofs,
     sweep,
 )
@@ -57,7 +57,7 @@ def test_criterion_1_formula_equals_oracle():
     """Formula vs brute force on every shape with |G| <= 64 that the
     oracle's default budget admits."""
     checked, skipped, mismatches = [], 0, []
-    for s, expected in pgroup_shapes_up_to(64):
+    for s, expected in pgroup_records(64):
         try:
             counted = count_automorphisms(s)
         except BudgetExceeded:

@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abelianaut
-from abelianaut import GroupShape, cli, enumeration
+from abelianaut import GroupShape, arith, cli, enumeration
 from abelianaut.cli import ParseError, main, parse_group, parse_ratio_target
-from abelianaut.enumeration import pgroup_shapes_up_to
-from helpers import package_imports
+from helpers import package_imports, pgroup_records
 
 
 # ------------------------------------------------------------ group parsing
@@ -236,7 +235,7 @@ def test_classify_row_is_the_label_of_the_exponents(fmt):
     # One call per k classifies the group made of the k-th shape of every
     # prime, so every p-group shape of order <= 4096 is one row somewhere.
     by_prime: dict[int, list] = {}
-    for shape, _ in pgroup_shapes_up_to(4096):
+    for shape, _ in pgroup_records(4096):
         by_prime.setdefault(shape.p, []).append(shape)
     assert sum(map(len, by_prime.values())) == 938
     for k in range(len(by_prime[2])):
@@ -446,8 +445,12 @@ def test_verify_reports_and_exits_3_on_mismatch(capsys, monkeypatch):
     finally:
         enumeration._blocks.cache_clear()  # no later test reads a count of 1
     captured = capsys.readouterr()
-    assert "MISMATCH" in captured.err
-    assert "mismatches=0" not in captured.out
+    # |Aut(Z2)| is 1, so only the other three mismatch, in order of |G| as
+    # enumerate prints them
+    assert captured.out.startswith("checked=4 skipped=0 mismatches=3\n")
+    assert captured.err == ("MISMATCH Z3: formula=1 oracle=2\n"
+                            "MISMATCH Z4: formula=1 oracle=2\n"
+                            "MISMATCH Z2 x Z2: formula=1 oracle=6\n")
 
 
 def test_parse_error_exit_code(capsys):
@@ -503,7 +506,7 @@ def test_factorization_overflow_exit_code(capsys):
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(n):
         raise MemoryError
-    monkeypatch.setattr(enumeration, "primes_up_to", exhausted)
+    monkeypatch.setattr(arith, "_smallest_prime_factors", exhausted)
     assert main(["verify", "--max-order", "64"]) == 2
     assert capsys.readouterr() == ("", "error: out of memory\n")
 

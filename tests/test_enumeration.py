@@ -1,13 +1,13 @@
+import json
 from collections import defaultdict
 from fractions import Fraction
-from math import prod
 
 import pytest
 
 from abelianaut import GroupShape, PGroupShape, partitions
 from abelianaut import enumeration
-from abelianaut.arith import factorize, factorizations_up_to, primes_up_to
-from abelianaut.enumeration import pgroup_shapes_up_to
+from abelianaut.arith import factorizations_up_to, primes_up_to
+from abelianaut.cli import main
 from helpers import hillar_rhea_aut_order, package_imports, partition_count, sweep
 
 
@@ -59,14 +59,6 @@ def test_groups_of_order_counts():
     assert by_order[1] == [()]
 
 
-def test_groups_of_order_counts_match_partition_product():
-    by_order = _by_order(2000)
-    assert sorted(by_order) == list(range(1, 2001))
-    for n, groups in by_order.items():
-        expected = prod(partition_count(a) for a in factorize(n).values())
-        assert len(groups) == expected, n
-
-
 def test_groups_of_order_all_have_right_order():
     for n, groups in _by_order(2000).items():
         for blocks in groups:
@@ -80,12 +72,11 @@ def test_groups_of_order_no_duplicates():
 
 def test_enumeration_imports_no_trial_division_or_group():
     # The block tables and the groups of one factored order hand out plain
-    # records: from the package they take the integer rule, the primes, the
-    # block and its |Aut|, nothing that factors an order or builds a
-    # GroupShape, and the walks read the sieve themselves.
+    # records: from the package they take the integer rule, the block and
+    # its |Aut|, nothing that lists primes, factors an order or builds a
+    # GroupShape, and all four walks read the sieve themselves.
     assert package_imports(enumeration) == {
-        (".arith", "is_positive_int"), (".arith", "primes_up_to"),
-        (".core", "PGroupShape"), (".core", "aut_order_p")}
+        (".arith", "is_positive_int"), (".core", "PGroupShape"), (".core", "aut_order_p")}
 
 
 # ----------------------------------------------------------- the sweep to N
@@ -177,16 +168,13 @@ def test_a_block_that_is_not_ratio_minimal_has_a_twin_of_the_same_ratio():
 
 # ------------------------------------------------------- p-group shapes
 
-def test_pgroup_shapes_up_to_counts_match_partition_function():
+def test_pgroup_shapes_up_to_counts_match_partition_function(capsys):
+    # verify walks each p-group shape of order <= n once; a budget of one
+    # tuple skips every shape, so checked + skipped is their number
     for n in (64, 300):
         expected = sum(partition_count(a) for p in primes_up_to(n)
                        for a in range(1, n.bit_length()) if p**a <= n)
-        assert len(list(pgroup_shapes_up_to(n))) == expected, n
-
-
-def test_pgroup_shapes_up_to_order_and_bound():
-    shapes = [shape for shape, _ in pgroup_shapes_up_to(9)]
-    assert [(s.p, s.exponents) for s in shapes] == [
-        (2, (1,)), (2, (2,)), (2, (1, 1)), (2, (3,)), (2, (1, 2)), (2, (1, 1, 1)),
-        (3, (1,)), (3, (2,)), (3, (1, 1)), (5, (1,)), (7, (1,))]
-    assert list(pgroup_shapes_up_to(1)) == []
+        assert main(["verify", "--max-order", str(n), "--budget", "1",
+                     "--format", "json"]) == 2
+        row = json.loads(capsys.readouterr().out)
+        assert row["checked"] + row["skipped"] == expected, n

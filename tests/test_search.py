@@ -224,9 +224,7 @@ def test_a_bad_max_order_is_refused_by_name_without_the_sweeps_step(call):
     lambda v: ratio_atlas(v),
     lambda v: list(search._first_witnesses(v)),
     lambda v: list(partitions(v)),
-    lambda v: list(enumeration.pgroup_shapes_up_to(v)),
-], ids=["search-max-order", "oracle-budget", "atlas", "first-witnesses", "partitions",
-        "pgroup-shapes"])
+], ids=["search-max-order", "oracle-budget", "atlas", "first-witnesses", "partitions"])
 def test_bounds_take_only_integers_from_1(entry, bad):
     # a bool is an int to Python, but True as a bound is a caller's mistake
     with pytest.raises(ValueError):
