@@ -12,9 +12,10 @@ and realize each read the sieve and call :func:`_groups` per order,
 verify only on the orders of one prime.  Blocks come from two cached
 (p, a) tables of (block, |Aut|) records, each block built and counted
 once per table: the full table, which enumerate and verify read, and
-the table of ratio-minimal blocks, which the atlas and realize read,
-since a group with any other block has a smaller twin of the same ratio
-(the twin lemma in :mod:`abelianaut.search`).
+the table of ratio-minimal blocks, which realize reads, and the atlas
+for primes p with p^2 <= N (it builds the Z_p of a larger prime itself).
+A group with any other block has a smaller twin of the same ratio (the
+twin lemma in :mod:`abelianaut.search`).
 :func:`_groups` folds the counts into each group's |Aut| and builds no
 GroupShape.
 """

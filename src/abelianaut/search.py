@@ -124,7 +124,11 @@ neither |G'| nor |Aut(G')|, and v_p(r) = v_p((p-1)/p) = -1.
   witness exactly when G' is one, and no group without p has its ratio.
   The atlas yields, at order n, Z_p times each first witness of order
   n/p < sqrt(N), in order, and neither dedupes nor keeps those ratios.
-  Z_p is ratio-minimal, so this composes with the twin lemma.
+  Z_p is ratio-minimal, so this composes with the twin lemma.  Its count
+  is |Aut(Z_p)| = p - 1, so the walk builds Z_p itself, once, at order p
+  (the first multiple of p), holds it while another multiple of p is at
+  most N, and drops it at the last one: no block of a prime past sqrt(N)
+  enters the cached block table.
 """
 
 from __future__ import annotations
@@ -295,7 +299,9 @@ def _first_witnesses(
     docstring, every first witness is.  An order whose largest prime p has
     p^2 > max_order builds no group: by the large-prime lemma its first
     witnesses are Z_p times those of order/p, whose (blocks, |Aut|) the walk
-    keeps for each order n with n^2 < max_order.  Every other order's ratios
+    keeps for each order n with n^2 < max_order.  Z_p is built once, at
+    order p, not read from the cached block table, and held only until the
+    last multiple of p <= max_order.  Every other order's ratios
     are deduped as num * (max_order + 1) + den, one int per reduced pair
     (den <= max_order).  The bound is checked when the walk starts.
     """
@@ -304,13 +310,17 @@ def _first_witnesses(
     radix = max_order + 1
     seen: set[int] = set()
     kept: dict[int, list[tuple[tuple[PGroupShape, ...], int]]] = {}
+    cyclic: dict[int, PGroupShape] = {}  # Z_p while a multiple of p is ahead
     for order, factors in factorizations_up_to(max_order):
         p = max(factors, default=1)
         if p * p > max_order:  # the large-prime lemma (b)
-            ((z_p, units),) = enumeration._blocks(p, 1, True)
+            z_p = cyclic.pop(p) if p in cyclic else PGroupShape(p, (1,))
+            if order + p <= max_order:
+                cyclic[p] = z_p
             for blocks, aut in kept[order // p]:
-                g = gcd(aut * units, order)
-                yield aut * units // g, order // g, order, (*blocks, z_p)
+                aut *= p - 1  # |Aut(Z_p)|
+                g = gcd(aut, order)
+                yield aut // g, order // g, order, (*blocks, z_p)
             continue
         firsts = []
         for blocks, aut in enumeration._groups(True, factors):

@@ -373,6 +373,48 @@ def test_the_atlas_at_a_large_prime_order_is_z_p_times_the_order_below():
                            for r, group in below[n // p]], n
 
 
+def test_the_atlas_builds_each_large_primes_z_p_once_outside_the_block_table(monkeypatch):
+    # ROADMAP item 21 (b): the walk builds the Z_p of a prime p past sqrt(N)
+    # itself, at order p, and hands the same block to every multiple of p;
+    # the cached block table is asked only for primes p with p^2 <= N.
+    max_order = 20000
+    asked = []
+    blocks_of = enumeration._blocks
+
+    def recorded(p, a, minimal):
+        asked.append(p)
+        return blocks_of(p, a, minimal)
+
+    enumeration._blocks.cache_clear()
+    monkeypatch.setattr(enumeration, "_blocks", recorded)
+    z_ps = defaultdict(list)
+    for _, _, order, blocks in search._first_witnesses(max_order):
+        p = _largest_prime(order)
+        if p * p > max_order:
+            z_ps[p].append(blocks[-1])
+    assert asked and all(p * p <= max_order for p in asked)
+    assert len(z_ps) == 2228  # the primes in (sqrt(20000), 20000]
+    for p, rows in z_ps.items():
+        assert rows[0] == PGroupShape(p, (1,))
+        assert all(z_p is rows[0] for z_p in rows), p
+
+
+def test_the_atlas_drops_each_z_p_at_its_last_multiple():
+    # The walk holds Z_p while order + p <= N.  For each N = k * p with
+    # p^2 > N (6 = 2 * 3 first, 22 = 2 * 11 among them), order (k - 1) * p
+    # has order + p == N: dropping Z_p there, one multiple early, builds a
+    # second Z_p at N, which shows here as a second object.
+    reference = list(reference_atlas(300).items())
+    for max_order in range(1, 301):
+        rows = list(ratio_atlas(max_order).items())
+        assert rows == [(r, g) for r, g in reference if g.order <= max_order], max_order
+        z_ps = {}
+        for _, group in rows:
+            p = _largest_prime(group.order)
+            if p * p > max_order:
+                assert group.factors[-1] is z_ps.setdefault(p, group.factors[-1])
+
+
 def test_realize_builds_no_group_of_an_order_it_skips(monkeypatch):
     # ROADMAP item 21 (a): an order whose largest prime p has p^2 > n holds no
     # group of ratio a/b unless p divides b, so realize never builds one.
@@ -393,11 +435,12 @@ def test_realize_builds_no_group_of_an_order_it_skips(monkeypatch):
 
 
 def test_the_first_witness_walk_keeps_its_dedupe_set_small():
-    # The bound guards the dedupe set, not the block table.  Hashing every
-    # one of the 23,533 ratios at 20,000 put the set in a 131,072-slot table
-    # (2 MiB) and the traced peak at about 3.95 MiB; the orders with a prime
-    # past sqrt(20,000) add no key, so 13,484 of the 27,734 groups are hashed
-    # and the peak is about 1.8 MiB, the rebuilt block table included.
+    # Hashing every one of the 23,533 ratios at 20,000 put the dedupe set in
+    # a 131,072-slot table (2 MiB) and the traced peak at about 3.95 MiB; the
+    # orders with a prime past sqrt(20,000) add no key, so 13,484 of the
+    # 27,734 groups are hashed.  Their Z_p stays out of the block table,
+    # which the walk rebuilds with 100 tables, not 2,328, and the peak is
+    # about 1.3 MiB (1.8 MiB while each Z_p was a cached table).
     enumeration._blocks.cache_clear()
     tracemalloc.start()
     try:
@@ -406,7 +449,7 @@ def test_the_first_witness_walk_keeps_its_dedupe_set_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 2**20
+    assert peak < 1.6 * 2**20
 
 
 def test_block_table_keeps_no_patched_count(monkeypatch, capsys):
