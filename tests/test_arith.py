@@ -127,9 +127,11 @@ def test_primes_up_to_takes_only_integers(n):
         primes_up_to(n)
 
 
-@pytest.mark.parametrize("step", [1, 2, 12, 30, 97, 2000, 2001])
-def test_stepped_sieve_factorizations_equal_trial_division(step):
-    got = list(factorizations_up_to(2000, step))
-    want = [(k, factorize(k)) for k in range(step, 2001, step)]
+@pytest.mark.parametrize("n, step", [
+    *((2000, step) for step in (1, 2, 12, 30, 97, 2000, 2001)),
+    (5000, 1), (0, 1), (1, 1)])
+def test_stepped_sieve_factorizations_equal_trial_division(n, step):
+    got = list(factorizations_up_to(n, step))
+    want = [(k, factorize(k)) for k in range(step, n + 1, step)]
     assert got == want
     assert [list(f) for _, f in got] == [list(f) for _, f in want]  # primes ascending

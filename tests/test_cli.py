@@ -281,29 +281,6 @@ def test_enumerate_csv_header(capsys):
     assert lines[2] == "2,Z2,1,1,2"
 
 
-def test_search_unrealizable_odd_prime(capsys):
-    assert main(["search", "3", "--max-order", "100"]) == 0
-    assert "unrealizable (odd-prime-target)" in capsys.readouterr().out
-
-
-def test_search_unrealizable_denominator_json(capsys):
-    assert main(["search", "1/4", "--format", "json"]) == 0
-    row = json.loads(capsys.readouterr().out)
-    assert row == {"verdict": "unrealizable",
-                   "reason": "non-squarefree-denominator"}
-
-
-def test_search_witness(capsys):
-    assert main(["search", "1/2"]) == 0
-    assert capsys.readouterr().out == "witness: Z2 (order 2), ratio 1/2\n"
-
-
-def test_search_not_found(capsys):
-    assert main(["search", "10", "--max-order", "30"]) == 0
-    out = capsys.readouterr().out
-    assert "no witness among groups of order <= 30" in out
-
-
 _SEARCH_OUTPUT = {
     ("1/2", "text"): "witness: Z2 (order 2), ratio 1/2\n",
     ("1/2", "json"): ('{"verdict": "witness", "group": "Z2", "order": 2, '
@@ -401,13 +378,6 @@ def test_atlas_max_order_4(capsys):
     assert main(["atlas", "--max-order", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["1\t1\tZ1", "1/2\t2\tZ2", "2/3\t3\tZ3", "3/2\t4\tZ2 x Z2"]
-
-
-def test_verify_clean(capsys):
-    assert main(["verify", "--max-order", "48", "--budget", "1000000"]) == 0
-    out = capsys.readouterr().out
-    assert "mismatches=0" in out
-    assert "skipped=2" in out  # the two order-32 shapes with rank >= 4
 
 
 def test_verify_counts_up_to_order_300_within_budget_300(capsys):

@@ -302,11 +302,6 @@ def test_classify_patterns():
     assert classify(PGroupShape(2, (1, 1, 2))) is PGroupClassKind.GENERAL
 
 
-def test_classify_exactly_one_tag_per_shape():
-    for shape, _ in pgroup_records(512):
-        assert isinstance(classify(shape), PGroupClassKind)
-
-
 def test_closed_form_ratio_values():
     assert closed_form_ratio(PGroupShape(5, (1,))) == Fraction(4, 5)
     assert closed_form_ratio(PGroupShape(2, (1, 1, 1))) == Fraction(21)

@@ -1,5 +1,4 @@
 import json
-from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -44,32 +43,6 @@ def test_partitions_no_duplicates():
 
 # ----------------------------------------------------------- groups by order
 
-def _by_order(max_order):
-    """The blocks of each record of the sweep to ``max_order``, per order."""
-    by_order = defaultdict(list)
-    for order, blocks, _ in sweep(max_order):
-        by_order[order].append(blocks)
-    return by_order
-
-
-def test_groups_of_order_counts():
-    by_order = _by_order(54)
-    assert len(by_order[16]) == 5
-    assert len(by_order[54]) == 3
-    assert by_order[1] == [()]
-
-
-def test_groups_of_order_all_have_right_order():
-    for n, groups in _by_order(2000).items():
-        for blocks in groups:
-            assert GroupShape(blocks).order == n
-
-
-def test_groups_of_order_no_duplicates():
-    for n, groups in _by_order(2000).items():
-        assert len(groups) == len(set(groups)), n
-
-
 def test_enumeration_imports_no_trial_division_or_group():
     # The block tables and the groups of one factored order hand out plain
     # records: from the package they take the integer rule, the block and
@@ -96,11 +69,6 @@ def test_sweep_small_exact():
         (4, GroupShape.from_exponents({2: [1, 1]})),
     ]
     assert got == want
-
-
-def test_sweep_counts():
-    assert len(_up_to(1)) == 1
-    assert len(_up_to(8)) == 11
 
 
 @pytest.mark.parametrize("max_order, step", sorted(
@@ -168,9 +136,10 @@ def test_a_block_that_is_not_ratio_minimal_has_a_twin_of_the_same_ratio():
 
 # ------------------------------------------------------- p-group shapes
 
-def test_pgroup_shapes_up_to_counts_match_partition_function(capsys):
-    # verify walks each p-group shape of order <= n once; a budget of one
-    # tuple skips every shape, so checked + skipped is their number
+def test_verify_checked_plus_skipped_is_the_number_of_pgroup_shapes(capsys):
+    # verify reads each p-group shape of order <= n once off the sieve, and a
+    # budget of one tuple skips every shape, so checked + skipped must equal
+    # the number of partitions of a, summed over the prime powers p^a <= n
     for n in (64, 300):
         expected = sum(partition_count(a) for p in primes_up_to(n)
                        for a in range(1, n.bit_length()) if p**a <= n)

@@ -1,6 +1,7 @@
 """Golden output: the CLI's bytes as frozen from the code that rebuilt
-every primary block per order, plus the equivalences that the block
-table and the sieve rely on.
+every primary block per order, plus what those bytes are built from:
+the sweep equals the per-prime reference enumeration, the sieve grows
+as its caller reads it, and a block still checks its prime.
 
 ``golden/enumerate_300.csv`` is the full output of
 ``enumerate --max-order 300 --format csv``; ``golden/atlas_5000.json``
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from abelianaut import GroupShape, PGroupShape, aut_order, factorize
+from abelianaut import GroupShape, PGroupShape, aut_order
 from abelianaut.arith import factorizations_up_to
 from abelianaut.cli import main
 from helpers import groups_of_order, sweep
@@ -39,20 +40,6 @@ def test_atlas_csv_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
 
 
-def test_sieve_factorizations_equal_trial_division():
-    got = list(factorizations_up_to(5000))
-    assert [k for k, _ in got] == list(range(1, 5001))
-    for k, factors in got:
-        want = factorize(k)
-        assert factors == want, k
-        assert list(factors) == list(want), k  # primes ascending in both
-
-
-def test_sieve_factorizations_of_nothing():
-    assert list(factorizations_up_to(0)) == []
-    assert list(factorizations_up_to(1)) == [(1, {})]
-
-
 def test_sieve_is_built_as_the_caller_goes():
     # A sieve of 10**12 entries up front would not fit in memory.
     first = factorizations_up_to(10**12)
@@ -67,6 +54,9 @@ def test_sweep_is_the_reference_enumeration_concatenated():
     got = [(order, GroupShape(blocks), aut)
            for order, blocks, aut in sweep(2000)]
     assert [(order, g) for order, g, _ in got] == list(want)
+    # each record's blocks multiply to its order, and no group comes twice
+    assert all(g.order == order for order, g, _ in got)
+    assert len({g for _, g, _ in got}) == len(got)
     # |Aut| folded from the block table, against the closed form per group
     assert all(aut == aut_order(g) for _, g, aut in got)
 
