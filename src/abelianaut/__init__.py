@@ -25,7 +25,6 @@ from .core import (
     ratio,
 )
 from .enumeration import partitions
-from .oracle import BudgetExceeded, count_automorphisms
 from .search import (
     NotFoundWithinBounds,
     UnrealizableReason,
@@ -61,3 +60,13 @@ __all__ = [
     "realize",
     "screen",
 ]
+
+
+def __getattr__(name: str):
+    # The oracle loads on first use: only verify counts with it, and every
+    # other caller would pay to compile and import it.
+    if name in ("BudgetExceeded", "count_automorphisms"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

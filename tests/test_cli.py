@@ -581,6 +581,37 @@ def test_package_imports_with_the_standard_library_alone():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_only_verify_loads_the_oracle():
+    # Every one-shot call compiles the modules it imports, so atlas and search
+    # must not import the oracle; verify and the package's lazy names do.
+    env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import abelianaut\n"
+            "from abelianaut import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['atlas', '--max-order', '30']) == 0\n"
+            "    assert cli.main(['search', '3/2']) == 0\n"
+            "    assert 'abelianaut.oracle' not in sys.modules\n"
+            "    assert cli.main(['verify', '--max-order', '8']) == 0\n"
+            "from abelianaut import oracle\n"
+            "names = {}\n"
+            "exec('from abelianaut import *', names)\n"
+            "assert sorted(names.keys() - {'__builtins__'}) == abelianaut.__all__\n"
+            "assert names['count_automorphisms'] is oracle.count_automorphisms\n"
+            "assert names['BudgetExceeded'] is oracle.BudgetExceeded\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_verify_budget_default_is_the_oracles():
+    # the parser states the default without importing the oracle
+    from abelianaut import oracle
+
+    assert cli.build_parser().parse_args(["verify"]).budget == oracle.DEFAULT_BUDGET
+
+
 def test_cli_names_each_package_module_once():
     # The front end reaches every library name through its module, so each
     # module is imported once and no name has two spellings.

@@ -137,13 +137,16 @@ def test_a_block_that_is_not_ratio_minimal_has_a_twin_of_the_same_ratio():
 # ------------------------------------------------------- p-group shapes
 
 def test_verify_checked_plus_skipped_is_the_number_of_pgroup_shapes(capsys):
-    # verify reads each p-group shape of order <= n once off the sieve, and a
-    # budget of one tuple skips every shape, so checked + skipped must equal
-    # the number of partitions of a, summed over the prime powers p^a <= n
-    for n in (64, 300):
+    # verify reads each p-group shape of order <= n once off the sieve and
+    # either checks or skips it, so checked + skipped must equal the number
+    # of partitions of a, summed over the prime powers p^a <= n; a budget of
+    # one tuple skips every shape (exit 2), and a budget of 300 splits the
+    # 157 shapes of order <= 300 into 84 checked and 73 skipped
+    for n, budget, code, checked in [(64, 1, 2, 0), (300, 1, 2, 0), (300, 300, 0, 84)]:
         expected = sum(partition_count(a) for p in primes_up_to(n)
                        for a in range(1, n.bit_length()) if p**a <= n)
-        assert main(["verify", "--max-order", str(n), "--budget", "1",
-                     "--format", "json"]) == 2
+        assert main(["verify", "--max-order", str(n), "--budget", str(budget),
+                     "--format", "json"]) == code
         row = json.loads(capsys.readouterr().out)
-        assert row["checked"] + row["skipped"] == expected, n
+        assert row["checked"] == checked, (n, budget)
+        assert row["checked"] + row["skipped"] == expected, (n, budget)

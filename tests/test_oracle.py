@@ -1,6 +1,7 @@
 import gc
 import random
 from collections import Counter
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -28,11 +29,12 @@ def _all_vectors(shape):
 
 def _closure(generators, shape):
     """The subgroup ``generators`` span, grown from {0} one generator at a
-    time by the closure step that ``count_automorphisms`` runs."""
+    time by the closure step that ``count_automorphisms`` runs: the union
+    of the cosets it walks."""
     moduli = [shape.p**e for e in shape.exponents]
     subgroup = {(0,) * shape.rank}
     for g in generators:
-        subgroup = oracle._extend(subgroup, g, moduli)
+        subgroup = set().union(*oracle._extend(subgroup, g, moduli))
     return subgroup
 
 
@@ -120,7 +122,8 @@ def test_count_bounded_by_candidate_space():
 @pytest.mark.parametrize("p, exps", [
     (2, (1, 1)), (2, (1, 2)), (3, (1, 1)), (2, (1, 3)), (2, (2, 2)),
     (5, (1, 1)), (3, (1, 2)), (2, (1, 1, 1)), (2, (1, 1, 2)), (2, (3,)),
-    (3, (3,)), (2, (1, 2, 2)), (2, (1, 1, 3)),
+    (3, (3,)), (2, (1, 2, 2)), (2, (1, 1, 3)), (3, (1, 1, 1)), (3, (2, 2)),
+    (5, (1, 2)),
 ])
 def test_count_equals_the_naive_count_over_every_image_tuple(p, exps):
     moduli = [p**e for e in exps]
@@ -169,14 +172,47 @@ def test_prefix_subgroup_lies_in_the_next_slot_and_cosets_close_alike():
                     assert bfs_subgroup(prefix + [gx], moduli) == closed, (shape, prefix, g, x)
 
 
+def test_unit_multiples_close_alike_and_phi_k_cosets_generate():
+    """For H a prefix subgroup and g in the next slot, with k the least k >= 1
+    such that k*g is in H: <H, j*g> = <H, g> for every j prime to p, and
+    exactly phi(k) of the cosets H + j*g, 0 <= j < k, generate <H, g>."""
+    rng = random.Random(1618)
+    seen_k = set()
+    for shape in [PGroupShape(2, (1, 2, 3)), PGroupShape(3, (1, 2, 2)),
+                  PGroupShape(5, (2, 2)), PGroupShape(3, (3,))]:
+        p, moduli = shape.p, [shape.p**e for e in shape.exponents]
+        slots = image_slots(moduli)
+        for _ in range(10):
+            i = rng.randrange(shape.rank)
+            prefix = [rng.choice(slots[j]) for j in range(i)]
+            h = bfs_subgroup(prefix, moduli)
+            g = rng.choice(slots[i])
+
+            def times(j):
+                return tuple(c * j % m for c, m in zip(g, moduli))
+
+            closed = bfs_subgroup(prefix + [g], moduli)
+            k = next(k for k in range(1, shape.order + 1) if times(k) in h)
+            seen_k.add((p, k))
+            for j in range(1, 2 * k + 2):
+                if j % p:
+                    assert bfs_subgroup(prefix + [times(j)], moduli) == closed, (
+                        shape, prefix, g, j)
+            generating = sum(bfs_subgroup(prefix + [times(j)], moduli) == closed
+                             for j in range(k))
+            assert generating == sum(gcd(j, k) == 1 for j in range(k)), (shape, prefix, g)
+    assert {(2, 4), (3, 9), (3, 27), (5, 25)} <= seen_k
+
+
 @pytest.mark.parametrize("p, exps, closures", [
-    (2, (1, 1, 1, 1), 428), (2, (1, 2, 3), 152), (3, (1, 1, 2), 171),
-    (3, (1, 2, 2), 1323),
+    (2, (1, 1, 1, 1), 428), (2, (1, 2, 3), 104), (3, (1, 1, 2), 93),
+    (3, (1, 2, 2), 309),
 ], ids=["Z2^4", "Z2xZ4xZ8", "Z3xZ3xZ9", "Z3xZ9xZ9"])
 def test_count_closes_each_subgroup_and_coset_once_per_slot(monkeypatch, p, exps, closures):
     # each level holds a prefix subgroup H once and closes one candidate per
-    # coset g + H, so a pair (H, g + H) can recur only across the n - 1 slots;
-    # the totals pin how many closures the whole count makes
+    # class of cosets H + j*g with p not dividing j, so a pair (H, g + H) can
+    # recur only across the n - 1 slots; the totals pin how many closures the
+    # whole count makes
     closed = []
     extend = oracle._extend
 
