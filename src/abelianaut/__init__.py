@@ -25,13 +25,6 @@ from .core import (
     ratio,
 )
 from .enumeration import partitions
-from .search import (
-    NotFoundWithinBounds,
-    UnrealizableReason,
-    ratio_atlas,
-    realize,
-    screen,
-)
 
 __version__ = "0.1.0"
 
@@ -63,10 +56,17 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The oracle loads on first use: only verify counts with it, and every
-    # other caller would pay to compile and import it.
+    # The oracle and the search load on first use: only verify counts with
+    # the oracle, and only search and atlas sweep for ratios.  Every other
+    # caller would pay to compile and import them, and fractions with the
+    # search.
     if name in ("BudgetExceeded", "count_automorphisms"):
         from . import oracle
 
         return getattr(oracle, name)
+    if name in ("NotFoundWithinBounds", "UnrealizableReason", "ratio_atlas",
+                "realize", "screen"):
+        from . import search
+
+        return getattr(search, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

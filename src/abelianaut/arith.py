@@ -149,7 +149,8 @@ def factorizations_up_to(n: int, step: int = 1) -> Iterator[tuple[int, dict[int,
 
     This is the one sieve that every walk over the orders reads: enumerate,
     verify, the atlas and ``realize``.  It checks neither bound: each caller
-    checks its own ``max_order``.
+    checks its own ``max_order``.  verify reads it only up to
+    min(max_order, budget), and counts the shapes of larger order.
     """
     base = factorize(step) if step <= n else {}
     spf = array("I")

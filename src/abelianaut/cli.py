@@ -3,7 +3,11 @@
 Subcommands cover the whole library: aut, ratio, classify, valuation,
 enumerate, search, atlas, verify.  Output is plain text (default), JSON
 lines, or CSV via --format; every number printed is exact, either a
-decimal big integer or a reduced a/b.
+decimal big integer or a reduced a/b.  Each subcommand imports only
+what it runs: the oracle loads for verify alone, the search module for
+search and atlas alone, and fractions only where a ratio is built.
+verify walks the sieve only up to its budget, and counts the shapes past
+it with :mod:`.counting`.
 
 Exit codes: 0 success; 1 usage or parse error; 2 computational bound
 exceeded, which includes running out of memory and a verify that checks
@@ -21,19 +25,20 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from . import arith, core, enumeration, search
+from . import arith, core, enumeration
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BOUND = 2
 EXIT_MISMATCH = 3
 
-_RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?")
-_FACTOR_RE = re.compile(r"\s*([zZcC]?)\s*(\d*)\s*([xX*]?)")
+# Kept as text: re compiles a pattern on its first use and caches it, so a
+# command that parses no group or ratio (verify, enumerate, atlas) compiles neither.
+_RATIONAL_PATTERN = r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?"
+_FACTOR_PATTERN = r"\s*([zZcC]?)\s*(\d*)\s*([xX*]?)"
 
 
 class ParseError(ValueError):
@@ -51,10 +56,11 @@ def parse_group(text: str) -> core.GroupShape:
     whitespace between tokens is ignored and letters are
     case-insensitive.  The result is canonicalized (CRT split, sorted).
     """
+    factor = re.compile(_FACTOR_PATTERN)
     moduli: list[int] = []
     end, separator = 0, "x"
     while separator:
-        m = _FACTOR_RE.match(text, end)
+        m = factor.match(text, end)
         letter, digits, separator = m.groups()
         if not letter:
             raise ParseError("expected a factor like 'Z12' or 'C12'", m.start(1))
@@ -69,7 +75,9 @@ def parse_group(text: str) -> core.GroupShape:
 
 def parse_ratio_target(text: str) -> Fraction:
     """Parse ``a/b`` or a bare integer; must reduce to a positive value."""
-    m = _RATIONAL_RE.fullmatch(text)
+    from fractions import Fraction  # loaded only by the commands that take a ratio
+
+    m = re.fullmatch(_RATIONAL_PATTERN, text)
     if m is None:
         raise ParseError("expected a positive rational like '3' or '3/2'", 0)
     num = int(m.group(1))
@@ -119,6 +127,8 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     shape = parse_group(args.group)
     aut = core.aut_order(shape)
     r = Fraction(aut, shape.order)
@@ -183,6 +193,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from . import search  # loaded only here and by atlas, which sweep for ratios
+
     target = parse_ratio_target(args.target)
     verdict = search.realize(target, args.max_order, args.time_limit)
     if isinstance(verdict, core.GroupShape):
@@ -207,6 +219,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_atlas(args: argparse.Namespace) -> int:
+    from . import search
+
     rows = ({"ratio_num": num, "ratio_den": den, "order": order,
              "group": core.blocks_text(blocks)}
             for num, den, order, blocks in search._first_witnesses(args.max_order))
@@ -222,7 +236,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checked = 0
     skipped = 0
     mismatches: list[tuple[core.PGroupShape, int, int]] = []
-    for _, factors in arith.factorizations_up_to(args.max_order):
+    top = min(args.max_order, args.budget)
+    for _, factors in arith.factorizations_up_to(top):
         if len(factors) != 1:
             continue
         for (shape,), expected in enumeration._groups(False, factors):
@@ -234,6 +249,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checked += 1
             if expected != counted:
                 mismatches.append((shape, expected, counted))
+    if top < args.max_order:
+        # A shape of order above the budget has |G|^rank >= |G| > budget, so
+        # the oracle would refuse it: count those shapes and build none.
+        from . import counting  # loaded only when a count runs
+
+        skipped += counting.pgroup_shapes_between(top, args.max_order)
     row = {"checked": checked, "skipped": skipped, "mismatches": len(mismatches)}
     _emit([row], args.format,
           lambda r: (f"checked={r['checked']} skipped={r['skipped']} "
@@ -274,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)")
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--max-order", type=_positive_int, metavar="N",
-                       default=search.DEFAULT_MAX_ORDER,
+                       default=10**4,  # search.DEFAULT_MAX_ORDER (tested), not imported
                        help="largest group order to sweep (default: %(default)s)")
 
     group = argparse.ArgumentParser(add_help=False)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from enum import Enum
-from fractions import Fraction
 from itertools import groupby
 from math import prod
 from operator import attrgetter
@@ -244,6 +243,8 @@ def ratio(group: GroupShape) -> Fraction:
     >>> ratio(canonicalize([2, 3, 9]))
     Fraction(2, 1)
     """
+    from fractions import Fraction  # loaded by the first ratio, not by every import
+
     return Fraction(aut_order(group), group.order)
 
 
@@ -300,6 +301,8 @@ def closed_form_ratio(shape: PGroupShape) -> Fraction | None:
     has no class-specific formula, so None comes back: its ratio is
     ``aut_order_p(shape) / |P|``, an integer divisible by p(p-1)^2.
     """
+    from fractions import Fraction
+
     p = shape.p
     kind = classify(shape)
     if kind is PGroupClassKind.CYCLIC:

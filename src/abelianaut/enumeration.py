@@ -9,7 +9,8 @@ therefore rely on it for witness minimality.
 This module holds the partitions, the block tables and the groups of
 one factored order.  It walks no orders: enumerate, verify, the atlas
 and realize each read the sieve and call :func:`_groups` per order,
-verify only on the orders of one prime.  Blocks come from two cached
+verify only on the prime powers up to its budget (it counts the
+shapes of larger order, and builds none).  Blocks come from two cached
 (p, a) tables of (block, |Aut|) records, each block built and counted
 once per table: the full table, which enumerate and verify read, and
 the table of ratio-minimal blocks, which realize reads, and the atlas

@@ -148,8 +148,9 @@ def count_automorphisms(shape, budget: int = DEFAULT_BUDGET) -> int:
     slots = [list(product(*(range(0, m, m // gcd(m, mi)) for m in moduli)))
              for mi in moduli]
     last = slots[-1]
-    # the last slot is G itself: kept subgroups hold its tuples, not copies
-    canon = {g: g for g in last}
+    # the last slot is G itself: kept subgroups hold its tuples, not copies;
+    # a cyclic G has no slot before the last, so it builds no subgroup
+    canon = {g: g for g in last} if n > 1 else {}
     # level: each subgroup H that images for the slots so far can generate,
     # with the number of image prefixes that generate it
     level: dict[frozenset[ElementVector], int] = {frozenset({(0,) * n}): 1}

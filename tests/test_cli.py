@@ -583,7 +583,8 @@ def test_package_imports_with_the_standard_library_alone():
 
 def test_only_verify_loads_the_oracle():
     # Every one-shot call compiles the modules it imports, so atlas and search
-    # must not import the oracle; verify and the package's lazy names do.
+    # must not import the oracle or the counting module; verify and the
+    # package's lazy names do.
     env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
     code = ("import io, sys\n"
             "from contextlib import redirect_stdout\n"
@@ -592,14 +593,45 @@ def test_only_verify_loads_the_oracle():
             "with redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['atlas', '--max-order', '30']) == 0\n"
             "    assert cli.main(['search', '3/2']) == 0\n"
-            "    assert 'abelianaut.oracle' not in sys.modules\n"
+            "    assert not {'abelianaut.oracle', 'abelianaut.counting'} & sys.modules.keys()\n"
             "    assert cli.main(['verify', '--max-order', '8']) == 0\n"
-            "from abelianaut import oracle\n"
+            "from abelianaut import oracle, search\n"
             "names = {}\n"
             "exec('from abelianaut import *', names)\n"
             "assert sorted(names.keys() - {'__builtins__'}) == abelianaut.__all__\n"
             "assert names['count_automorphisms'] is oracle.count_automorphisms\n"
-            "assert names['BudgetExceeded'] is oracle.BudgetExceeded\n")
+            "assert names['BudgetExceeded'] is oracle.BudgetExceeded\n"
+            "for name in ('NotFoundWithinBounds', 'UnrealizableReason', 'ratio_atlas',\n"
+            "             'realize', 'screen'):\n"
+            "    assert names[name] is getattr(search, name), name\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_only_the_ratio_commands_load_the_search_and_fractions():
+    # verify, aut, classify, valuation and enumerate build no ratio, so they
+    # compile neither the search module nor fractions (nor its decimal and
+    # numbers); ratio, search and atlas load what they need when they run.
+    # A verify whose budget reaches its max order counts nothing, so it
+    # loads no counting module either.
+    env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from abelianaut import cli\n"
+            "lazy = {'abelianaut.search', 'fractions', 'decimal', 'numbers'}\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['verify', '--max-order', '8'], ['aut', 'Z4'],\n"
+            "                 ['classify', 'Z8xZ3xZ3'], ['valuation', 'Z8xZ4', '-p', '2'],\n"
+            "                 ['enumerate', '--max-order', '30']):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "        assert not lazy & sys.modules.keys(), (argv, lazy & sys.modules.keys())\n"
+            "    assert 'abelianaut.counting' not in sys.modules\n"
+            "    assert cli.main(['ratio', 'Z2xZ5xZ25']) == 0\n"
+            "    assert 'abelianaut.search' not in sys.modules\n"
+            "    assert cli.main(['search', '3/2']) == 0\n"
+            "    assert cli.main(['atlas', '--max-order', '30']) == 0\n"
+            "assert lazy <= sys.modules.keys()\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -612,11 +644,20 @@ def test_verify_budget_default_is_the_oracles():
     assert cli.build_parser().parse_args(["verify"]).budget == oracle.DEFAULT_BUDGET
 
 
+def test_sweep_default_is_the_searchs():
+    # the parser states the default without importing the search
+    from abelianaut import search
+
+    parser = cli.build_parser()
+    for argv in (["search", "3/2"], ["atlas"]):
+        assert parser.parse_args(argv).max_order == search.DEFAULT_MAX_ORDER, argv
+
+
 def test_cli_names_each_package_module_once():
     # The front end reaches every library name through its module, so each
     # module is imported once and no name has two spellings.
-    assert package_imports(cli) == {
-        (".", "arith"), (".", "core"), (".", "enumeration"), (".", "oracle"), (".", "search")}
+    assert package_imports(cli) == {(".", "arith"), (".", "core"), (".", "counting"),
+                                    (".", "enumeration"), (".", "oracle"), (".", "search")}
 
 
 def test_public_api_is_exactly_these_names():

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 
 import pytest
 
 from abelianaut import GroupShape, PGroupShape, partitions
-from abelianaut import enumeration
+from abelianaut import counting, enumeration, oracle
 from abelianaut.arith import factorizations_up_to, primes_up_to
 from abelianaut.cli import main
 from helpers import hillar_rhea_aut_order, package_imports, partition_count, sweep
@@ -137,11 +139,11 @@ def test_a_block_that_is_not_ratio_minimal_has_a_twin_of_the_same_ratio():
 # ------------------------------------------------------- p-group shapes
 
 def test_verify_checked_plus_skipped_is_the_number_of_pgroup_shapes(capsys):
-    # verify reads each p-group shape of order <= n once off the sieve and
-    # either checks or skips it, so checked + skipped must equal the number
-    # of partitions of a, summed over the prime powers p^a <= n; a budget of
-    # one tuple skips every shape (exit 2), and a budget of 300 splits the
-    # 157 shapes of order <= 300 into 84 checked and 73 skipped
+    # verify checks or skips each p-group shape of order <= n exactly once,
+    # so checked + skipped must equal the number of partitions of a, summed
+    # over the prime powers p^a <= n; a budget of one tuple skips every
+    # shape (exit 2), and a budget of 300 splits the 157 shapes of order
+    # <= 300 into 84 checked and 73 skipped
     for n, budget, code, checked in [(64, 1, 2, 0), (300, 1, 2, 0), (300, 300, 0, 84)]:
         expected = sum(partition_count(a) for p in primes_up_to(n)
                        for a in range(1, n.bit_length()) if p**a <= n)
@@ -150,3 +152,66 @@ def test_verify_checked_plus_skipped_is_the_number_of_pgroup_shapes(capsys):
         row = json.loads(capsys.readouterr().out)
         assert row["checked"] == checked, (n, budget)
         assert row["checked"] + row["skipped"] == expected, (n, budget)
+
+
+def _pgroup_shape_totals(n):
+    """totals[m], the number of p-group shapes of order <= m for 0 <= m <= n,
+    read off the sieve: p(a) shapes at each prime power p^a."""
+    per_order = [0] * (n + 1)
+    for order, factors in factorizations_up_to(n):
+        if len(factors) == 1:
+            per_order[order] = partition_count(*factors.values())
+    return list(accumulate(per_order))
+
+
+# Tops that are exact prime powers (2^8, 3^5, 17^2, 11^3) put the integer
+# roots of the count at their boundaries, as each N = 2^a does.
+_TOPS = (1, 243, 256, 289, 300, 1331)
+
+
+def _steps(n):
+    """Every prime power q <= n and q - 1, and n: the number of shapes of
+    order <= N changes only at a prime power, so these cover every N <= n."""
+    powers = {p**a for p in primes_up_to(n) for a in range(1, n.bit_length()) if p**a <= n}
+    return sorted({n, *powers, *(q - 1 for q in powers)})
+
+
+def test_the_shapes_past_the_walk_are_counted_exactly():
+    # verify walks the sieve to top = min(N, budget) and counts the shapes of
+    # order in (top, N] from prime counts at the a-th roots of top and N
+    totals = _pgroup_shape_totals(2000)
+    for top in _TOPS:
+        for n in _steps(2000):
+            if n >= top:
+                got = counting.pgroup_shapes_between(top, n)
+                assert got == totals[n] - totals[top], (top, n)
+
+
+def test_verify_checked_plus_skipped_at_every_split(capsys, monkeypatch):
+    # End to end, with the walk and the count split at each top of _TOPS and
+    # with no count at a budget of 10^6: checked + skipped is the sieve's
+    # count for each N that is 2^a, next to a top, or 2000.  Each shape is
+    # counted by the oracle once.
+    monkeypatch.setattr(oracle, "count_automorphisms", cache(oracle.count_automorphisms))
+    totals = _pgroup_shape_totals(2000)
+    orders = sorted({2000, *(1 << a for a in range(11)),
+                     *(t + d for t in _TOPS for d in (-1, 0, 1) if t + d)})
+    for budget in (*_TOPS, 10**6):
+        for n in orders:
+            code = main(["verify", "--max-order", str(n), "--budget", str(budget),
+                         "--format", "json"])
+            row = json.loads(capsys.readouterr().out)
+            assert code == (0 if row["checked"] else 2), (n, budget)
+            assert row["checked"] + row["skipped"] == totals[n], (n, budget)
+
+
+def test_verify_runs_no_prime_count_when_it_walks_to_the_end(capsys, monkeypatch):
+    # the benchmark's two verify calls walk to their max order: no count runs
+    def refuse(n):
+        raise AssertionError("prime_count ran")
+    monkeypatch.setattr(counting, "prime_count", refuse)
+    for argv, line in [(["--max-order", "64"], "checked=49 skipped=6 mismatches=0\n"),
+                       (["--max-order", "300", "--budget", "300"],
+                        "checked=84 skipped=73 mismatches=0\n")]:
+        assert main(["verify", *argv]) == 0
+        assert capsys.readouterr().out == line
