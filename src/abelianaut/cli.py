@@ -4,8 +4,8 @@ Subcommands cover the whole library: aut, ratio, classify, valuation,
 enumerate, search, atlas, verify.  Output is plain text (default), JSON
 lines, or CSV via --format; every number printed is exact, either a
 decimal big integer or a reduced a/b.  Each subcommand imports only
-what it runs: the oracle loads for verify alone, the search module for
-search and atlas alone, and fractions only where a ratio is built.
+what it runs: the oracle loads for verify alone, and the search module,
+with fractions, for search and atlas alone.
 verify walks the sieve only up to its budget, and counts the shapes past
 it with :mod:`.counting`.
 
@@ -127,17 +127,15 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     shape = parse_group(args.group)
     aut = core.aut_order(shape)
-    r = Fraction(aut, shape.order)
+    g = gcd(aut, shape.order)
     row = {
         "group": str(shape),
         "order": shape.order,
         "aut_order": aut,
-        "ratio_num": r.numerator,
-        "ratio_den": r.denominator,
+        "ratio_num": aut // g,
+        "ratio_den": shape.order // g,
     }
     _emit([row], args.format, lambda r: _ratio_str(r["ratio_num"], r["ratio_den"]))
     return EXIT_OK
@@ -289,70 +287,54 @@ _nonnegative_float = partial(_at_least, float, 0, "a number")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default: text)")
-    sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--max-order", type=_positive_int, metavar="N",
-                       default=10**4,  # search.DEFAULT_MAX_ORDER (tested), not imported
-                       help="largest group order to sweep (default: %(default)s)")
-
-    group = argparse.ArgumentParser(add_help=False)
-    group.add_argument("group", help="group expression, e.g. Z2xZ3xZ9")
-
     parser = argparse.ArgumentParser(
         prog="abelianaut",
         description="Exact |Aut(G)| and |Aut(G)|/|G| for finite abelian groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, summary in (
+        ("aut", cmd_aut, "print |Aut(G)| for a group expression"),
+        ("ratio", cmd_ratio, "print |Aut(G)|/|G| as a reduced fraction"),
+        ("classify", cmd_classify, "print the shape class of each primary component"),
+        ("valuation", cmd_valuation,
+         "largest power of P dividing |Aut| of the P-primary component"),
+        ("enumerate", cmd_enumerate, "stream every abelian group of order 1..N"),
+        ("search", cmd_search,
+         "find a group with ratio exactly a/b, or prove there is none"),
+        ("atlas", cmd_atlas, "map every achieved ratio to its smallest witness"),
+        ("verify", cmd_verify, "cross-check the formula against brute-force counting"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                       help="output format (default: text)")
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("aut", parents=[common, group],
-                       help="print |Aut(G)| for a group expression")
-    p.set_defaults(handler=cmd_aut)
-
-    p = sub.add_parser("ratio", parents=[common, group],
-                       help="print |Aut(G)|/|G| as a reduced fraction")
-    p.set_defaults(handler=cmd_ratio)
-
-    p = sub.add_parser("classify", parents=[common, group],
-                       help="print the shape class of each primary component")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser(
-        "valuation", parents=[common, group],
-        help="largest power of P dividing |Aut| of the P-primary component")
-    p.add_argument("-p", type=_positive_int, required=True, metavar="P",
-                   help="prime whose primary component to analyze")
-    p.set_defaults(handler=cmd_valuation)
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="stream every abelian group of order 1..N")
-    p.add_argument("--max-order", type=_positive_int, required=True, metavar="N")
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser(
-        "search", parents=[common, sweep],
-        help="find a group with ratio exactly a/b, or prove there is none")
-    p.add_argument("target", help="positive rational: 'a/b' or a bare integer")
-    p.add_argument("--time-limit", type=_nonnegative_float, default=None,
-                   metavar="SECONDS", help="optional wall-clock budget")
-    p.set_defaults(handler=cmd_search)
-
-    p = sub.add_parser("atlas", parents=[common, sweep],
-                       help="map every achieved ratio to its smallest witness")
-    p.set_defaults(handler=cmd_atlas)
-
-    p = sub.add_parser(
-        "verify", parents=[common],
-        help="cross-check the formula against brute-force counting")
-    p.add_argument("--max-order", type=_positive_int, default=64, metavar="N",
-                   help="check every p-group shape of order <= N (default: %(default)s)")
-    p.add_argument("--budget", type=_positive_int, metavar="B",
-                   default=10**6,  # oracle.DEFAULT_BUDGET (tested), not imported here
-                   help="max candidate tuples per shape (default: %(default)s)")
-    p.set_defaults(handler=cmd_verify)
-
+    # Each command's own arguments, after --format.
+    command = sub.choices
+    for name in ("aut", "ratio", "classify", "valuation"):
+        command[name].add_argument("group", help="group expression, e.g. Z2xZ3xZ9")
+    command["valuation"].add_argument(
+        "-p", type=_positive_int, required=True, metavar="P",
+        help="prime whose primary component to analyze")
+    command["enumerate"].add_argument(
+        "--max-order", type=_positive_int, required=True, metavar="N")
+    for name in ("search", "atlas"):
+        command[name].add_argument(
+            "--max-order", type=_positive_int, metavar="N",
+            default=10**4,  # search.DEFAULT_MAX_ORDER (tested), not imported
+            help="largest group order to sweep (default: %(default)s)")
+    command["search"].add_argument(
+        "target", help="positive rational: 'a/b' or a bare integer")
+    command["search"].add_argument(
+        "--time-limit", type=_nonnegative_float, default=None, metavar="SECONDS",
+        help="optional wall-clock budget")
+    command["verify"].add_argument(
+        "--max-order", type=_positive_int, default=64, metavar="N",
+        help="check every p-group shape of order <= N (default: %(default)s)")
+    command["verify"].add_argument(
+        "--budget", type=_positive_int, metavar="B",
+        default=10**6,  # oracle.DEFAULT_BUDGET (tested), not imported here
+        help="max candidate tuples per shape (default: %(default)s)")
     return parser
 
 

@@ -335,6 +335,26 @@ def test_every_help_formats(capsys, command):
         assert "group expression, e.g. Z2xZ3xZ9" in out
 
 
+def test_each_usage_names_its_arguments_in_order(capsys):
+    # Tokens, not bytes: how argparse wraps a usage line varies by version.
+    usage = {
+        "aut": "--format {text,json,csv} group",
+        "ratio": "--format {text,json,csv} group",
+        "classify": "--format {text,json,csv} group",
+        "valuation": "--format {text,json,csv} -p P group",
+        "enumerate": "--format {text,json,csv} --max-order N",
+        "search": "--format {text,json,csv} --max-order N --time-limit SECONDS target",
+        "atlas": "--format {text,json,csv} --max-order N",
+        "verify": "--format {text,json,csv} --max-order N --budget B",
+    }
+    for command, arguments in usage.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        first = capsys.readouterr().out.split("\n\n")[0]
+        assert re.sub(r"[][]", " ", first).split() == [
+            "usage:", "abelianaut", command, "-h", *arguments.split()], command
+
+
 _ODD_INTEGER = ("unrealizable (odd-integer-target): the only odd integers "
                 "realizable are 1 (Z1) and 21 (Z2 x Z2 x Z2)\n")
 
@@ -581,60 +601,50 @@ def test_package_imports_with_the_standard_library_alone():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_only_verify_loads_the_oracle():
-    # Every one-shot call compiles the modules it imports, so atlas and search
-    # must not import the oracle or the counting module; verify and the
-    # package's lazy names do.
+def test_each_command_loads_only_what_it_runs():
+    # Every one-shot call compiles the modules it imports.  import abelianaut
+    # alone loads no submodule: each public name loads its home module on
+    # first use.  Only verify loads the oracle, and the counting module only
+    # when its budget is below its max order; only search and atlas load the
+    # search module and fractions (with its decimal and numbers).
     env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
     code = ("import io, sys\n"
             "from contextlib import redirect_stdout\n"
             "import abelianaut\n"
-            "from abelianaut import cli\n"
-            "with redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['atlas', '--max-order', '30']) == 0\n"
-            "    assert cli.main(['search', '3/2']) == 0\n"
-            "    assert not {'abelianaut.oracle', 'abelianaut.counting'} & sys.modules.keys()\n"
-            "    assert cli.main(['verify', '--max-order', '8']) == 0\n"
-            "from abelianaut import oracle, search\n"
-            "names = {}\n"
-            "exec('from abelianaut import *', names)\n"
-            "assert sorted(names.keys() - {'__builtins__'}) == abelianaut.__all__\n"
-            "assert names['count_automorphisms'] is oracle.count_automorphisms\n"
-            "assert names['BudgetExceeded'] is oracle.BudgetExceeded\n"
-            "for name in ('NotFoundWithinBounds', 'UnrealizableReason', 'ratio_atlas',\n"
-            "             'realize', 'screen'):\n"
-            "    assert names[name] is getattr(search, name), name\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-
-
-def test_only_the_ratio_commands_load_the_search_and_fractions():
-    # verify, aut, classify, valuation and enumerate build no ratio, so they
-    # compile neither the search module nor fractions (nor its decimal and
-    # numbers); ratio, search and atlas load what they need when they run.
-    # A verify whose budget reaches its max order counts nothing, so it
-    # loads no counting module either.
-    env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
-    code = ("import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from abelianaut import cli\n"
-            "lazy = {'abelianaut.search', 'fractions', 'decimal', 'numbers'}\n"
-            "with redirect_stdout(io.StringIO()):\n"
-            "    for argv in (['verify', '--max-order', '8'], ['aut', 'Z4'],\n"
-            "                 ['classify', 'Z8xZ3xZ3'], ['valuation', 'Z8xZ4', '-p', '2'],\n"
-            "                 ['enumerate', '--max-order', '30']):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-            "        assert not lazy & sys.modules.keys(), (argv, lazy & sys.modules.keys())\n"
-            "    assert 'abelianaut.counting' not in sys.modules\n"
-            "    assert cli.main(['ratio', 'Z2xZ5xZ25']) == 0\n"
-            "    assert 'abelianaut.search' not in sys.modules\n"
-            "    assert cli.main(['search', '3/2']) == 0\n"
-            "    assert cli.main(['atlas', '--max-order', '30']) == 0\n"
-            "assert lazy <= sys.modules.keys()\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
+            "assert not [m for m in sys.modules if m.startswith('abelianaut.')]\n"
+            "assert dir(abelianaut) == abelianaut.__all__\n"
+            "if sys.argv[1:]:\n"
+            "    from abelianaut import cli\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(sys.argv[1:]) == 0\n"
+            "else:\n"
+            "    names = {}\n"
+            "    exec('from abelianaut import *', names)\n"
+            "    assert sorted(names.keys() - {'__builtins__'}) == abelianaut.__all__\n"
+            "    for name in abelianaut.__all__:\n"
+            "        home = sys.modules[names[name].__module__]\n"
+            "        assert names[name] is getattr(home, name), name\n"
+            "costly = {'abelianaut.counting', 'abelianaut.oracle', 'abelianaut.search',\n"
+            "          'fractions', 'decimal', 'numbers'}\n"
+            "print(' '.join(sorted(costly & sys.modules.keys())))\n")
+    search = "abelianaut.search decimal fractions numbers"
+    for argv, loaded in [
+        ([], "abelianaut.oracle " + search),
+        (["aut", "Z4"], ""),
+        (["ratio", "Z2xZ5xZ25"], ""),
+        (["classify", "Z8xZ3xZ3"], ""),
+        (["valuation", "Z8xZ4", "-p", "2"], ""),
+        (["enumerate", "--max-order", "30"], ""),
+        (["verify", "--max-order", "8"], "abelianaut.oracle"),
+        (["verify", "--max-order", "8", "--budget", "4"],
+         "abelianaut.counting abelianaut.oracle"),
+        (["search", "3/2"], search),
+        (["atlas", "--max-order", "30"], search),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr.decode())
+        assert proc.stdout.decode().strip() == loaded, argv
 
 
 def test_verify_budget_default_is_the_oracles():
