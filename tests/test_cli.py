@@ -601,50 +601,68 @@ def test_package_imports_with_the_standard_library_alone():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_each_command_loads_only_what_it_runs():
-    # Every one-shot call compiles the modules it imports.  import abelianaut
-    # alone loads no submodule: each public name loads its home module on
-    # first use.  Only verify loads the oracle, and the counting module only
-    # when its budget is below its max order; only search and atlas load the
-    # search module and fractions (with its decimal and numbers).
+# Runs one command (or, with no arguments, the star import) in a fresh
+# interpreter and prints the costly modules it loaded.  import abelianaut
+# alone loads no submodule: each public name loads its home module on first
+# use.
+_LOADED = (
+    "import io, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "import abelianaut\n"
+    "assert not [m for m in sys.modules if m.startswith('abelianaut.')]\n"
+    "assert dir(abelianaut) == abelianaut.__all__\n"
+    "if sys.argv[1:]:\n"
+    "    from abelianaut import cli\n"
+    "    with redirect_stdout(io.StringIO()):\n"
+    "        assert cli.main(sys.argv[1:]) == 0\n"
+    "else:\n"
+    "    names = {}\n"
+    "    exec('from abelianaut import *', names)\n"
+    "    assert sorted(names.keys() - {'__builtins__'}) == abelianaut.__all__\n"
+    "    for name in abelianaut.__all__:\n"
+    "        home = sys.modules[names[name].__module__]\n"
+    "        assert names[name] is getattr(home, name), name\n"
+    "costly = {'abelianaut.counting', 'abelianaut.oracle', 'abelianaut.search',\n"
+    "          'fractions', 'decimal', 'numbers'}\n"
+    "print(' '.join(sorted(costly & sys.modules.keys())))\n")
+_SEARCH = "abelianaut.search decimal fractions numbers"
+
+
+def _assert_loads(cases):
     env = dict(os.environ, PYTHONPATH=str(Path(abelianaut.__file__).parents[1]))
-    code = ("import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "import abelianaut\n"
-            "assert not [m for m in sys.modules if m.startswith('abelianaut.')]\n"
-            "assert dir(abelianaut) == abelianaut.__all__\n"
-            "if sys.argv[1:]:\n"
-            "    from abelianaut import cli\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(sys.argv[1:]) == 0\n"
-            "else:\n"
-            "    names = {}\n"
-            "    exec('from abelianaut import *', names)\n"
-            "    assert sorted(names.keys() - {'__builtins__'}) == abelianaut.__all__\n"
-            "    for name in abelianaut.__all__:\n"
-            "        home = sys.modules[names[name].__module__]\n"
-            "        assert names[name] is getattr(home, name), name\n"
-            "costly = {'abelianaut.counting', 'abelianaut.oracle', 'abelianaut.search',\n"
-            "          'fractions', 'decimal', 'numbers'}\n"
-            "print(' '.join(sorted(costly & sys.modules.keys())))\n")
-    search = "abelianaut.search decimal fractions numbers"
-    for argv, loaded in [
-        ([], "abelianaut.oracle " + search),
+    for argv, loaded in cases:
+        proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr.decode())
+        assert proc.stdout.decode().strip() == loaded, argv
+
+
+def test_only_verify_loads_the_oracle():
+    # Every one-shot call compiles the modules it imports, so atlas and search
+    # load neither the oracle nor the counting module; verify loads the
+    # oracle, and the counting module only when its budget is below its max
+    # order.  The star import binds __all__, each name its home module's.
+    _assert_loads([
+        ([], "abelianaut.oracle " + _SEARCH),
+        (["verify", "--max-order", "8"], "abelianaut.oracle"),
+        (["verify", "--max-order", "8", "--budget", "4"],
+         "abelianaut.counting abelianaut.oracle"),
+        (["search", "3/2"], _SEARCH),
+        (["atlas", "--max-order", "30"], _SEARCH),
+    ])
+
+
+def test_only_the_ratio_commands_load_the_search_and_fractions():
+    # aut, ratio, classify, valuation and enumerate build no Fraction and run
+    # no search, so they compile neither the search module nor fractions (nor
+    # its decimal and numbers); ratio reduces |Aut|/|G| with gcd.
+    _assert_loads([
         (["aut", "Z4"], ""),
         (["ratio", "Z2xZ5xZ25"], ""),
         (["classify", "Z8xZ3xZ3"], ""),
         (["valuation", "Z8xZ4", "-p", "2"], ""),
         (["enumerate", "--max-order", "30"], ""),
-        (["verify", "--max-order", "8"], "abelianaut.oracle"),
-        (["verify", "--max-order", "8", "--budget", "4"],
-         "abelianaut.counting abelianaut.oracle"),
-        (["search", "3/2"], search),
-        (["atlas", "--max-order", "30"], search),
-    ]:
-        proc = subprocess.run([sys.executable, "-c", code, *argv],
-                              capture_output=True, env=env, timeout=60)
-        assert proc.returncode == 0, (argv, proc.stderr.decode())
-        assert proc.stdout.decode().strip() == loaded, argv
+    ])
 
 
 def test_verify_budget_default_is_the_oracles():
